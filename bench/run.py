@@ -23,6 +23,7 @@ with the keys correct, attempted, failed and metrics.
 from __future__ import annotations
 
 import argparse
+import bisect
 import itertools
 import json
 import math
@@ -30,14 +31,15 @@ import resource
 import signal
 import statistics
 import sys
-from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
+
+import calibrate
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 LOOP_CAP_S = 120      # no op starts later than this after the first loop began
-PROBE_REPEATS = 9
+PROBE_REPEATS = 15
 
 
 def use_source_tree() -> None:
@@ -59,41 +61,32 @@ def _on_alarm(signum, frame):
     raise OpTimeout
 
 
-_WORDS = ((), (1,), (2, 1), (1, 2, 2))
 CALIBRATION_EVERY_S = 0.1   # CPU time between calibration blocks
 CALIBRATION_BLOCK_S = 0.02  # wall time of one block of slices
-NOMINAL_SLICE_S = 300e-6    # one slice on the reference machine
-
-
-def calibration_slice() -> int:
-    """A fixed slice of pure-Python work of the kind qu2 does (tuple keys,
-    dict updates, Fraction sums).  It never calls qu2, so a change to the
-    library does not change its cost; only the machine's speed does."""
-    acc = {}
-    for i in range(100):
-        key = (i % 17, (i * 7) % 13, _WORDS[i % 4])
-        acc[key] = acc.get(key, 0) + Fraction(i % 5 - 2, 1 + i % 4)
-    return len(acc)
+NEAR_S = 0.15               # blocks this close to an op set its slowdown
 
 
 class Phase:
     """Latencies, failures and machine speed of one pass of the loop.
 
     While the pass runs, a SIGVTALRM handler times a block of calibration
-    slices after every CALIBRATION_EVERY_S of CPU time, inside long ops as
-    well as between them, so the slowdown follows the machine's speed over
-    the whole pass.  Time spent in the handler during an op is taken out of
-    that op's latency.
+    slices (calibrate.py) after every CALIBRATION_EVERY_S of CPU time,
+    inside long ops as well as between them.  Time spent in the handler
+    during an op is taken out of that op's latency.  Each op's latency is
+    then divided by the slowdown of the blocks that ran during the op or
+    within NEAR_S of it, since the machine's speed changes every few
+    seconds.
     """
 
     def __init__(self, calibrated: bool):
         self.calibrated = calibrated
         self.latencies = []
+        self.spans = []         # (start, end) of each op
         self.failed = 0
         self.errors = []
         self.busy_s = 0.0
-        self.slice_s = 0.0      # time in completed slices
-        self.slices = 0
+        self.slice_times = []
+        self.blocks = []        # (end, first slice, end slice) of each block
         self.handler_s = 0.0    # all time spent in the handler
 
     @property
@@ -101,14 +94,10 @@ class Phase:
         return len(self.latencies)
 
     def _calibrate(self, signum, frame):
-        start = perf_counter()
-        try:
-            while (t0 := perf_counter()) - start < CALIBRATION_BLOCK_S:
-                calibration_slice()
-                self.slice_s += perf_counter() - t0
-                self.slices += 1
-        finally:
-            self.handler_s += perf_counter() - start
+        first = len(self.slice_times)
+        self.handler_s += calibrate.time_slices(CALIBRATION_BLOCK_S,
+                                                self.slice_times)
+        self.blocks.append((perf_counter(), first, len(self.slice_times)))
 
     def __enter__(self):
         if self.calibrated:
@@ -120,25 +109,44 @@ class Phase:
     def __exit__(self, *exc):
         if self.calibrated:
             signal.setitimer(signal.ITIMER_VIRTUAL, 0)
-            if not self.slices:
+            if not self.slice_times:
                 self._calibrate(None, None)
 
-    def record(self, latency: float) -> None:
+    def record(self, start: float, end: float, latency: float) -> None:
+        self.spans.append((start, end))
         self.latencies.append(latency)
         self.busy_s += latency
 
     def slowdown(self) -> float:
-        """How much slower than the reference machine this pass ran; 1
+        """How much slower than the reference machine the whole pass ran; 1
         when the pass was not calibrated."""
         if not self.calibrated:
             return 1.0
-        return self.slice_s / self.slices / NOMINAL_SLICE_S
+        return calibrate.slowdown(self.slice_times)
 
     def ops_per_s(self) -> float:
-        return self.ops / self.busy_s * self.slowdown()
+        return self.ops / sum(self.scaled_latencies())
 
     def scaled_latencies(self):
-        return [t / self.slowdown() for t in self.latencies]
+        """Each latency divided by the slowdown around its op, or by the
+        pass's when no block ran near it."""
+        if not self.calibrated:
+            return list(self.latencies)
+        ends = [end for end, _first, _last in self.blocks]
+        total = list(itertools.accumulate(self.slice_times, initial=0.0))
+        whole = self.slowdown()
+        out = []
+        for (start, end), latency in zip(self.spans, self.latencies):
+            lo = bisect.bisect_left(ends, start - NEAR_S)
+            hi = bisect.bisect_right(ends, end + NEAR_S)
+            if hi > lo:
+                first, last = self.blocks[lo][1], self.blocks[hi - 1][2]
+                slowdown = ((total[last] - total[first]) / (last - first)
+                            / calibrate.NOMINAL_SLICE_S)
+            else:
+                slowdown = whole
+            out.append(latency / slowdown)
+        return out
 
 
 def run_ops(wl, state, inputs, seconds=None, n_ops=None, tracer=None,
@@ -185,7 +193,7 @@ def run_ops(wl, state, inputs, seconds=None, n_ops=None, tracer=None,
                     err = f"reference check raised {exc!r}"
             if tracer is not None:
                 tracer.phase = None
-            phase.record(t1 - t0 - (phase.handler_s - in_handler))
+            phase.record(t0, t1, t1 - t0 - (phase.handler_s - in_handler))
             if err is not None:
                 phase.failed += 1
                 if len(phase.errors) < 5:
@@ -207,26 +215,28 @@ def tail_percentile(latencies):
 
 def end_to_end(phase: Phase, probe: dict):
     """End-to-end metrics as name -> (value, unit, note).  Op times are
-    divided by the run's slowdown; the notes give the raw figures."""
-    slowdown = phase.slowdown()
+    divided by the machine's slowdown around each op; the notes give the
+    raw figures."""
     latencies = phase.scaled_latencies()
     p, tail = tail_percentile(latencies)
+    _p, raw_tail = tail_percentile(phase.latencies)
     tail_note = (f"p{p}, {phase.ops - math.ceil(p / 100 * phase.ops)} samples beyond"
                  if p != 50 else f"only {phase.ops} ops, too few for a tail: the median")
     p50 = statistics.median(latencies)
     return {
-        "ops_per_s": (phase.ops_per_s(), "op/s",
+        "ops_per_s": (phase.ops / sum(latencies), "op/s",
                       f"{phase.ops} ops in {phase.busy_s:.2f} s of op time; raw "
-                      f"{phase.ops / phase.busy_s:.6g} op/s, slowdown {slowdown:.4f}"),
-        "latency_p50_ms": (p50 * 1e3, "ms",
-                           f"n={phase.ops}; raw {p50 * slowdown * 1e3:.6g} ms"),
-        "latency_p99_ms": (tail * 1e3, "ms",
-                           f"{tail_note}; raw {tail * slowdown * 1e3:.6g} ms"),
+                      f"{phase.ops / phase.busy_s:.6g} op/s, slowdown "
+                      f"{phase.slowdown():.4f}"),
+        "latency_p50_ms": (p50 * 1e3, "ms", f"n={phase.ops}; raw "
+                           f"{statistics.median(phase.latencies) * 1e3:.6g} ms"),
+        "latency_p99_ms": (tail * 1e3, "ms", f"{tail_note}; raw {raw_tail * 1e3:.6g} ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                         "MiB", "peak resident memory of this process"),
         "setup_s": (probe["setup_s"], "s",
-                    f"median of {probe['repeats']} cold starts; bare interpreter "
-                    f"{probe['cli.interpreter_s']:.4f} s"),
+                    f"median of {probe['repeats']} cold starts, each divided by its "
+                    f"own slowdown; raw {probe['setup_raw_s']:.6g} s; bare "
+                    f"interpreter {probe['cli.interpreter_s']:.4f} s"),
     }
 
 

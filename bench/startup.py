@@ -1,10 +1,11 @@
 """Cold-start probe: what a user waits for before the first op.
 
-Run as a script, this file is the probe child: it imports qu2.cli as the
-`qu2` entry point does, performs the workload's own set-up, prints "ready",
-then times build_parser() and main(["eq", "U", "U"]) and prints them as
-JSON.  `probe()` starts fresh interpreters running it and takes medians,
-next to a bare `python -c pass` so qu2's own import cost stands apart.
+`probe()` starts fresh interpreters running coldstart.py, which times
+`import qu2.cli` plus the workload's own set-up from inside the child, and
+takes medians over them.  Each child's set-up time is divided by the
+slowdown its own calibration block measured, as op times are (see
+calibrate.py).  A bare `python -c pass` is timed next to each child, so
+the interpreter's own start-up cost stands apart from qu2's.
 """
 
 from __future__ import annotations
@@ -14,43 +15,10 @@ import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 from time import perf_counter
 
-
-def template_menu(level: int) -> dict:
-    """Criterion 3's template menu at `level`, built with the library
-    constructors: U^(+-2^(k-1)) and the mixed templates M{1,2}:h."""
-    from qu2 import element, endo
-
-    half = 1 << (level - 1)
-    menu = {"U+": element.u(half), "U-": element.u(-half)}
-    for h in range(level - 1):
-        for variant in (1, 2):
-            menu[f"M{variant}:{h}"] = endo.mixed_template(level, h, variant)
-    return menu
-
-
-def _child(workload: str) -> None:
-    t0 = perf_counter()
-    import qu2.cli
-    t1 = perf_counter()
-    if workload == "sweep":
-        template_menu(3)
-    print("ready", flush=True)
-
-    import io
-    from contextlib import redirect_stdout
-
-    t2 = perf_counter()
-    qu2.cli.build_parser()
-    t3 = perf_counter()
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        rc = qu2.cli.main(["eq", "U", "U"])
-    t4 = perf_counter()
-    print(json.dumps({"import_s": t1 - t0, "build_parser_s": t3 - t2,
-                      "main_s": t4 - t3, "qu2": qu2.__file__,
-                      "ok": rc == 0 and buf.getvalue() == "true\n"}))
+CHILD = Path(__file__).resolve().parent / "coldstart.py"
 
 
 def _bare_interpreter_s() -> float:
@@ -59,27 +27,17 @@ def _bare_interpreter_s() -> float:
     return perf_counter() - t0
 
 
-def _probe_once(src: str, workload: str):
+def _probe_once(src: str, workload: str) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
-    t0 = perf_counter()
-    # unbuffered, so readline() reads no further than "ready" and the rest
-    # is left for communicate()
-    with subprocess.Popen([sys.executable, __file__, workload], env=env,
-                          stdout=subprocess.PIPE, bufsize=0) as proc:
-        first = proc.stdout.readline().decode()
-        ready = perf_counter() - t0
-        try:
-            rest, _ = proc.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.communicate()
-            raise RuntimeError("cold-start probe did not finish")
-    if first.strip() != "ready" or proc.returncode != 0:
-        raise RuntimeError(f"cold-start probe failed (exit {proc.returncode})")
-    info = json.loads(rest)
+    proc = subprocess.run([sys.executable, str(CHILD), workload], env=env,
+                          capture_output=True, text=True, timeout=60)
+    if proc.returncode != 0:
+        raise RuntimeError(f"cold-start probe failed (exit {proc.returncode}): "
+                           f"{proc.stderr.strip()[-300:]}")
+    info = json.loads(proc.stdout.splitlines()[-1])
     if not info["qu2"].startswith(src + os.sep):
         raise RuntimeError(f"probe imported qu2 from {info['qu2']}, not {src}")
-    return ready, info
+    return info
 
 
 def probe(src: str, workload: str, repeats: int) -> dict:
@@ -87,22 +45,18 @@ def probe(src: str, workload: str, repeats: int) -> dict:
     that writes the bytecode caches.  Raises RuntimeError when qu2 cannot
     be imported from `src`."""
     _probe_once(src, workload)
-    rows = []
+    bare, rows = [], []
     for _ in range(repeats):
-        bare = _bare_interpreter_s()
-        ready, info = _probe_once(src, workload)
-        rows.append((bare, ready, info))
-    med = lambda xs: statistics.median(xs)
+        bare.append(_bare_interpreter_s())
+        rows.append(_probe_once(src, workload))
+    med = lambda key: statistics.median(r[key] for r in rows)
     return {
-        "setup_s": med([r for _b, r, _i in rows]),
-        "cli.interpreter_s": med([b for b, _r, _i in rows]),
-        "cli.import_s": med([i["import_s"] for _b, _r, i in rows]),
-        "cli.build_parser_s": med([i["build_parser_s"] for _b, _r, i in rows]),
-        "cli.main_s": med([i["main_s"] for _b, _r, i in rows]),
-        "ok": all(i["ok"] for _b, _r, i in rows),
+        "setup_s": statistics.median(r["setup_s"] / r["slowdown"] for r in rows),
+        "setup_raw_s": med("setup_s"),
+        "cli.interpreter_s": statistics.median(bare),
+        "cli.import_s": med("import_s"),
+        "cli.build_parser_s": med("build_parser_s"),
+        "cli.main_s": med("main_s"),
+        "ok": all(r["ok"] for r in rows),
         "repeats": repeats,
     }
-
-
-if __name__ == "__main__":
-    _child(sys.argv[1])

@@ -3,6 +3,7 @@
     python3 -m pytest -q bench
 """
 
+import gc
 import itertools
 import json
 import shutil
@@ -15,6 +16,7 @@ import pytest
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
+import calibrate  # noqa: E402
 import run  # noqa: E402
 
 run.use_source_tree()
@@ -99,6 +101,60 @@ def test_op_past_the_cap_fails_without_hanging():
     phase = run.run_ops(wl, wl.setup(), wl.inputs(1), n_ops=5)
     assert phase.failed == 5
     assert all("cap" in e for e in phase.errors)
+
+
+def test_no_collection_inside_a_calibration_block():
+    seen = []
+
+    def on_gc(phase, info):
+        seen.append(phase)
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(1)         # collect on nearly every allocation
+    gc.callbacks.append(on_gc)
+    try:
+        calibrate.time_slices(0.01, [])
+    finally:
+        gc.callbacks.remove(on_gc)
+        gc.set_threshold(*threshold)
+    assert seen == []
+
+
+class Hoarding(TinyDiagrams):
+    """Each op also builds and keeps HOARD tuples: extra op time, and a
+    bigger heap for the cyclic GC to walk."""
+
+    HOARD = 4000
+
+    def __init__(self):
+        self.kept = []
+
+    def op(self, state, t):
+        self.kept.append([(i, str(i)) for i in range(self.HOARD)])
+        return super().op(state, t)
+
+
+def test_injected_cost_moves_scaled_as_much_as_raw():
+    """The slowdown must not see the library's cost, so a costlier op moves
+    the scaled ops_per_s by the same ratio as the raw one.  Short plain and
+    costly passes alternate, so both sample the same machine speed."""
+    fast, slow = TinyDiagrams(), Hoarding()
+    passes = {fast: [], slow: []}
+    for _ in range(8):
+        for wl in (fast, slow):
+            passes[wl].append(run.run_ops(wl, None, wl.inputs(1), n_ops=60,
+                                          calibrated=True))
+        slow.kept.clear()
+
+    def pooled(phases):
+        ops = sum(p.ops for p in phases)
+        return (ops / sum(p.busy_s for p in phases),
+                ops / sum(sum(p.scaled_latencies()) for p in phases))
+
+    (raw_fast, scaled_fast), (raw_slow, scaled_slow) = pooled(passes[fast]), pooled(passes[slow])
+    raw, scaled = raw_fast / raw_slow, scaled_fast / scaled_slow
+    assert raw > 1.3, "the injected cost should show in the raw figure"
+    assert abs(scaled / raw - 1) < 0.2, (scaled, raw)
 
 
 def test_refuses_to_run_without_the_source_tree(tmp_path):

@@ -27,7 +27,7 @@ from qu2.element import Element
 from qu2.monomial import Monomial
 from qu2.wgroup import Diagram
 
-import startup
+from coldstart import template_menu
 
 Word = Tuple[int, ...]
 
@@ -271,35 +271,39 @@ def _depth_law(n: int) -> Dict[int, Fraction]:
     return law
 
 
-class _Trees:
-    """_random_tree's trees with their depth stratified: per leaf count,
-    each block holds every depth in exactly its probability (a block is
-    15 trees for 6 leaves), and a tree of the block's next depth is drawn
-    from _random_tree by rejection.  An op's cost grows about as 2 to the
-    power of its trees' depths, so this is what steadies the tail."""
+class _TreePairs:
+    """Pairs (T+, T-) of _random_tree's trees with their depths stratified
+    jointly: per leaf count, each block holds every pair of depths in
+    exactly its probability (a block is 15 x 15 pairs for 6 leaves), and
+    each tree of the block's next pair is drawn from _random_tree by
+    rejection.  An op's cost grows about as 2 to the power of its first
+    diagram's depth sum, so this is what steadies the tail."""
 
     def __init__(self, rng):
         self.rng = rng
         self.streams = {}
 
-    def tree(self, n: int):
+    def pair(self, n: int):
         if n not in self.streams:
             law = _depth_law(n)
             block = math.lcm(*(p.denominator for p in law.values()))
             depths = [d for d, p in law.items() for _ in range(int(p * block))]
-            self.streams[n] = _strata(self.rng, depths)
-        (depth,) = next(self.streams[n])
+            self.streams[n] = _strata(self.rng, list(itertools.product(depths, depths)))
+        (depths,) = next(self.streams[n])
+        return tuple(self._tree(n, depth) for depth in depths)
+
+    def _tree(self, n: int, depth: int):
         while True:
             tree = _random_tree(self.rng, n)
             if _tree_depth(tree) == depth:
                 return tree
 
 
-def _random_diagram(rng, plus: _Trees, minus: _Trees, n: int, max_charge=8) -> Diagram:
+def _random_diagram(rng, trees: _TreePairs, n: int, max_charge=8) -> Diagram:
     tau = list(range(n))
     rng.shuffle(tau)
     v = tuple(rng.randint(-max_charge, max_charge) for _ in range(n))
-    return Diagram(plus.tree(n), minus.tree(n), tuple(tau), v)
+    return Diagram(*trees.pair(n), tuple(tau), v)
 
 
 def _leaf_words(tree, path: Word = ()) -> List[Word]:
@@ -340,12 +344,11 @@ class Diagrams:
 
     def inputs(self, seed: int) -> Iterator[Triple]:
         rng = random.Random(seed)
-        # one tree source per tree of the triple, so each is stratified
-        sources = [(_Trees(rng), _Trees(rng)) for _ in range(3)]
+        # one tree source per diagram of the triple, so each is stratified
+        sources = [_TreePairs(rng) for _ in range(3)]
         leaves = range(1, 7)
         for counts in _strata(rng, leaves, leaves, leaves):
-            ds = [_random_diagram(rng, plus, minus, n)
-                  for (plus, minus), n in zip(sources, counts)]
+            ds = [_random_diagram(rng, trees, n) for trees, n in zip(sources, counts)]
             yield Triple(*ds, tuple(rng.randint(-64, 64) for _ in range(4)))
 
     def op(self, state, t: Triple):
@@ -401,7 +404,7 @@ class Sweep:
         self.round = 2 * (level - 1) + 2
 
     def setup(self) -> Dict[str, Element]:
-        return startup.template_menu(self.level)
+        return template_menu(self.level)
 
     def expected_count(self, label: str) -> int:
         """Closed-form family sizes: (2^(k-1))! per pure sign and
