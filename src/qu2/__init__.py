@@ -30,10 +30,7 @@ from .monomial import (
     mono_mul,
     mono_str,
     parse_mono,
-    proj,
     push_u_through,
-    s,
-    s_star,
     u_pow,
 )
 from .element import (
@@ -53,7 +50,10 @@ from .element import (
     one,
     parse_element,
     phi,
+    proj,
     putnam_form,
+    s,
+    s_star,
     scale,
     to_json,
     total_charge,
@@ -103,11 +103,12 @@ from .endo import (
     make_u_sigma,
     mixed_template,
     parse_cycles,
+    parse_template,
     perm_to_cycles,
     perm_unitary,
     perm_unitary_from_cycles,
     perm_unitary_from_element,
-    u_templates,
+    template_labels,
     u_templates_labeled,
 )
 

@@ -12,7 +12,7 @@ so the rotation unitaries U_z stay exact as well.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .element import Element
 from .errors import DomainError

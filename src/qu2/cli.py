@@ -12,10 +12,8 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import factorial
 
 from .errors import CapacityError, DomainError, ParseError
-from .words import word_str, all_words
 from .element import (
     Element,
     adjoint_el,
@@ -30,7 +28,6 @@ from .element import (
     bd_v_factor,
     total_charge,
     to_json as element_to_json,
-    u as u_element,
 )
 from .canrep import phase_apply
 from .wgroup import (
@@ -47,22 +44,20 @@ from .endo import (
     automorphism_probe,
     check_extension_parts,
     enumerate_extendible,
-    enumerate_u_p,
-    enumerate_u_sigma,
     extend,
+    identity_perm,
     make_inner_phi,
     make_u_p,
     make_u_sigma,
-    mixed_template,
     parse_cycles,
+    parse_template,
     perm_to_cycles,
     perm_unitary_from_cycles,
     perm_unitary_from_element,
+    run_verify_counts,
+    run_verify_table,
     u_templates_labeled,
 )
-
-_MIXED_NAME = re.compile(r"^M([12]):(\d+)$")
-_INNER_NAME = re.compile(r"^AD(\*?):(.+)$")
 
 
 def _emit(args, text_lines, payload):
@@ -73,22 +68,10 @@ def _emit(args, text_lines, payload):
             print(line)
 
 
-def resolve_template(name: str, level: int) -> Element:
-    """Turn a template name (U+, U-, M1:0, AD:(1 2), AD*:id) or an element
-    expression into the element it denotes at the given level."""
-    if name == "U+":
-        return u_element(2 ** (level - 1))
-    if name == "U-":
-        return u_element(-(2 ** (level - 1)))
-    m = _MIXED_NAME.match(name)
-    if m:
-        return mixed_template(level, int(m.group(2)), int(m.group(1)))
-    m = _INNER_NAME.match(name)
-    if m:
-        p = perm_unitary_from_cycles(level - 1, m.group(2))
-        core = u_element(-1 if m.group(1) else 1)
-        return mul(mul(p.element, core), adjoint_el(p.element))
-    return parse_element(name)
+def _parse_template_arg(text: str, level: int) -> Element:
+    """A --template argument: a menu label, else an element expression."""
+    labelled = parse_template(level, text)
+    return labelled[1] if labelled else parse_element(text)
 
 
 def _parse_unitary(text: str, level) -> PermUnitary:
@@ -232,7 +215,7 @@ def cmd_eval(args):
 
 def cmd_check_ext(args):
     pu = _parse_unitary(args.unitary, args.level)
-    template = resolve_template(args.template, pu.level)
+    template = _parse_template_arg(args.template, pu.level)
     e1, e2 = check_extension_parts(pu, template)
     line = (
         f"ext1={'true' if e1 else 'false'} ext2={'true' if e2 else 'false'} "
@@ -250,20 +233,18 @@ def cmd_templates(args):
 
 def cmd_construct(args):
     k = args.level
-    name = args.template
-    if name in ("U+", "U-"):
-        sign = 1 if name == "U+" else -1
-        p = (
-            parse_cycles(2 ** (k - 1), args.perm)
-            if args.perm
-            else tuple(range(2 ** (k - 1)))
-        )
-        pu = make_u_p(p, sign)
-        endo = extend(pu, resolve_template(name, k))
-    elif _MIXED_NAME.match(name):
-        m = _MIXED_NAME.match(name)
-        variant, h = int(m.group(1)), int(m.group(2))
-        tail = 2 ** (k - h - 2)
+    labelled = parse_template(k, args.template)
+    if labelled is None:
+        raise DomainError(
+            f"construct needs a template name, got {args.template!r}")
+    kind, template = labelled
+    if kind[0] == "pure":
+        size = 1 << (k - 1)
+        p = parse_cycles(size, args.perm) if args.perm else identity_perm(size)
+        endo = extend(make_u_p(p, kind[1]), template)
+    elif kind[0] == "mixed":
+        _tag, h, variant = kind
+        tail = 1 << (k - h - 2)
 
         def side(mask, sigma):
             if mask is None and sigma is None:
@@ -275,14 +256,11 @@ def cmd_construct(args):
         pu = make_u_sigma(k, h, variant,
                           side1=side(args.mask1, args.sigma1),
                           side2=side(args.mask2, args.sigma2))
-        endo = extend(pu, resolve_template(name, k))
-    elif _INNER_NAME.match(name):
-        m = _INNER_NAME.match(name)
-        p = perm_unitary_from_cycles(k - 1, m.group(2))
-        endo = make_inner_phi(p, with_flip=bool(m.group(1)))
-        pu = perm_unitary_from_element(endo.u.element, k)
+        endo = extend(pu, template)
     else:
-        raise DomainError(f"construct needs a template name, got {name!r}")
+        _tag, pperm, with_flip = kind
+        endo = make_inner_phi(PermUnitary(k - 1, pperm), with_flip)
+    pu = endo.u
     lines = [
         f"u\t{perm_to_cycles(pu.perm)}\t{element_str(pu.element)}",
         f"u_tilde\t{element_str(endo.u_tilde)}",
@@ -302,7 +280,7 @@ def cmd_enumerate(args):
     if args.all_templates:
         menu = u_templates_labeled(k)
     elif args.template:
-        menu = [(args.template, resolve_template(args.template, k))]
+        menu = [(args.template, _parse_template_arg(args.template, k))]
     else:
         raise DomainError("enumerate needs --template or --all-templates")
     results = []
@@ -359,34 +337,6 @@ def _table_path(arg):
     return os.path.join(os.path.dirname(__file__), "data", "appendix_level3.tsv")
 
 
-def run_verify_table(path):
-    """Check every fixture row: cycles match the element, element is the
-    stated permutative unitary, and both extension equations hold."""
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            rows.append(line.split("\t"))
-    failures = []
-    for i, row in enumerate(rows, 1):
-        try:
-            cycles, elem_text, tilde_text = row
-            pu = perm_unitary_from_element(parse_element(elem_text))
-            if perm_to_cycles(pu.perm) != cycles:
-                raise DomainError(
-                    f"cycle column {cycles} does not match element "
-                    f"({perm_to_cycles(pu.perm)})"
-                )
-            e1, e2 = check_extension_parts(pu, parse_element(tilde_text))
-            if not (e1 and e2):
-                raise DomainError(f"extension check failed: ext1={e1} ext2={e2}")
-        except (ValueError, DomainError) as exc:
-            failures.append((i, str(exc)))
-    return len(rows), failures
-
-
 def cmd_verify_table(args):
     total, failures = run_verify_table(_table_path(args.table))
     lines = [f"row {i}: {reason}" for i, reason in failures]
@@ -397,48 +347,6 @@ def cmd_verify_table(args):
         "failures": [{"row": i, "reason": r} for i, r in failures],
     }
     _emit(args, lines, payload)
-
-
-def run_verify_counts(level, sample=1000):
-    """Constructive family sizes against the closed-form counts, with
-    extension checks on every member (or a deterministic sample when a
-    family is larger than `sample`)."""
-    import random
-
-    k = level
-    report = []
-    checks = 0
-
-    def verify(family, template, expected, label):
-        nonlocal checks
-        members = list(family)
-        perms = {pu.perm for pu in members}
-        count_ok = len(members) == len(perms) == expected
-        idx = range(len(members))
-        if sample and len(members) > sample:
-            idx = sorted(random.Random(0).sample(idx, sample))
-        ext_ok = True
-        for i in idx:
-            e1, e2 = check_extension_parts(members[i], template)
-            checks += 1
-            if not (e1 and e2):
-                ext_ok = False
-                break
-        report.append((label, len(members), expected, count_ok and ext_ok))
-
-    pure = factorial(2 ** (k - 1))
-    verify(enumerate_u_p(k, +1), u_element(2 ** (k - 1)), pure, "U+")
-    verify(enumerate_u_p(k, -1), u_element(-(2 ** (k - 1))), pure, "U-")
-    for h in range(k - 1):
-        n = (factorial(2 ** (k - h - 2)) * 2 ** h) ** 2
-        for variant in (1, 2):
-            verify(
-                enumerate_u_sigma(k, h, variant),
-                mixed_template(k, h, variant),
-                n,
-                f"M{variant}:{h}",
-            )
-    return report, checks
 
 
 def cmd_verify_counts(args):

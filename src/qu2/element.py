@@ -16,10 +16,25 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .errors import DomainError, ParseError
 from .monomial import (Monomial, ONE, adjoint_mono, expand_right, mono_mul,
                        mono_str, u_pow)
-from .words import (Word, all_words, is_partition, offset, parse_word,
-                    word_str)
+from .words import Word, is_partition, offset, parse_word, word_str
 
 Coeff = object  # int | Fraction, kept exact throughout
+
+
+def _add_terms(acc: Dict[Monomial, Coeff],
+               pairs: Iterable[Tuple[Optional[Monomial], Coeff]]
+               ) -> Dict[Monomial, Coeff]:
+    """Add (monomial, coefficient) pairs into acc, skipping None monomials
+    (zero products) and dropping monomials whose coefficients cancel."""
+    for m, c in pairs:
+        if m is None:
+            continue
+        new = acc.get(m, 0) + c
+        if new:
+            acc[m] = new
+        else:
+            acc.pop(m, None)
+    return acc
 
 
 def _coeff_str(c) -> str:
@@ -37,16 +52,7 @@ class Element:
 
     @classmethod
     def from_terms(cls, pairs: Iterable[Tuple[Coeff, Monomial]]) -> "Element":
-        acc: Dict[Monomial, Coeff] = {}
-        for c, m in pairs:
-            if m is None or not c:
-                continue
-            new = acc.get(m, 0) + c
-            if new:
-                acc[m] = new
-            else:
-                acc.pop(m, None)
-        return cls(acc)
+        return cls(_add_terms({}, ((m, c) for c, m in pairs)))
 
     @classmethod
     def mono(cls, m: Monomial, c: Coeff = 1) -> "Element":
@@ -74,14 +80,7 @@ class Element:
     # arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Element") -> "Element":
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            new = acc.get(m, 0) + c
-            if new:
-                acc[m] = new
-            else:
-                acc.pop(m, None)
-        return Element(acc)
+        return Element(_add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Element":
         return Element({m: -c for m, c in self.terms.items()})
@@ -90,6 +89,8 @@ class Element:
         return self + (-other)
 
     def __mul__(self, other: "Element") -> "Element":
+        # inline rather than through _add_terms: a generator costs about a
+        # quarter of the product's time, and products are the hot path
         acc: Dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -167,20 +168,18 @@ def normalize(e: Element, depth: Optional[int] = None) -> Element:
         depth = min_depth
     elif depth < min_depth:
         raise DomainError(f"depth {depth} below canonical depth {min_depth}")
-    acc: Dict[Monomial, Coeff] = {}
-    for m, c in e.terms.items():
-        stack = [m]
-        while stack:
-            cur = stack.pop()
-            if len(cur.beta) < depth:
-                stack.extend(expand_right(cur))
-                continue
-            new = acc.get(cur, 0) + c
-            if new:
-                acc[cur] = new
-            else:
-                acc.pop(cur, None)
-    return Element(acc)
+
+    def expanded():
+        for m, c in e.terms.items():
+            stack = [m]
+            while stack:
+                cur = stack.pop()
+                if len(cur.beta) < depth:
+                    stack.extend(expand_right(cur))
+                else:
+                    yield cur, c
+
+    return Element(_add_terms({}, expanded()))
 
 
 def eq(e1: Element, e2: Element) -> bool:
@@ -191,16 +190,9 @@ def eq(e1: Element, e2: Element) -> bool:
 
 def phi(e: Element) -> Element:
     """The shift endomorphism phi(x) = S_1 x S_1* + S_2 x S_2*."""
-    acc: Dict[Monomial, Coeff] = {}
-    for (a, k, b), c in e.terms.items():
-        for letter in (1, 2):
-            m = Monomial((letter,) + a, k, (letter,) + b)
-            new = acc.get(m, 0) + c
-            if new:
-                acc[m] = new
-            else:
-                acc.pop(m, None)
-    return Element(acc)
+    return Element(_add_terms({}, ((Monomial((letter,) + a, k, (letter,) + b), c)
+                                   for (a, k, b), c in e.terms.items()
+                                   for letter in (1, 2))))
 
 
 def is_unitary(e: Element) -> bool:

@@ -17,15 +17,16 @@ menu, and enumerate_extendible sweeps whole permutation groups.
 from __future__ import annotations
 
 import itertools
+import re
+from math import factorial
 from multiprocessing import Pool
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .element import (Element, adjoint_el, element_str, eq, flip_flop,
-                      is_unitary, mul, normalize, one, parse_element, phi,
-                      proj, s, u)
+from .element import (Element, adjoint_el, eq, flip_flop, is_unitary, mul,
+                      normalize, one, parse_element, phi, s, u)
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import Monomial
-from .words import Word, all_words, flip, lex_index, word_by_lex_index
+from .words import Word, all_words, flip, lex_index
 
 Perm = Tuple[int, ...]  # perm[i] = lex index of the image of the i-th word
 
@@ -118,6 +119,8 @@ def perm_unitary(level: int, perm: Sequence[int]) -> PermUnitary:
 
 
 def perm_unitary_from_cycles(level: int, text: str) -> PermUnitary:
+    if level < 0:
+        raise DomainError(f"level must be >= 0, got {level}")
     return PermUnitary(level, parse_cycles(1 << level, text))
 
 
@@ -184,32 +187,65 @@ def mixed_template(k: int, h: int, variant: int) -> Element:
     return mul(phi_pow_proj(h, i), u(n)) + mul(phi_pow_proj(h, j), u(-n))
 
 
-def u_templates_labeled(k: int) -> List[Tuple[str, Element]]:
-    """The standard menu of candidate images of U at level k:
-    U^{±2^{k-1}}, the mixed projection pairs for each h, and the inner
-    images p U p* and p U* p* over the level-(k-1) permutation unitaries."""
+# A label names a template at level k: U+ / U- for U^{±2^{k-1}}, M{v}:{h}
+# for mixed_template(k, h, v), and AD:cycles / AD*:cycles for p U p* /
+# p U* p*, with p the level-(k-1) permutation unitary of the cycles.  Its
+# kind, ("pure", sign), ("mixed", h, variant) or ("inner", pperm, with_flip),
+# selects the constructive family.  No two menu entries are equal, so the
+# menu needs no dedupe: total charge (invariant under re-expansion and
+# conjugation) is ±2^{k-1} for U±, 0 for every M, 1 for AD and -1 for AD*,
+# and p U p* = q U q* makes the charge-0 permutation unitary q* p commute
+# with U, which only the identity does.
+
+_TEMPLATE_LABEL = re.compile(r"^(?:U([+-])|M([12]):(\d+)|AD(\*?):(.+))$")
+_MAX_MENU_LEVEL = 4  # the inner section has 2 (2^{k-1})! entries
+
+
+def parse_template(k: int, label: str) -> Optional[Tuple[tuple, Element]]:
+    """(kind, element) of the template with this label at level k >= 2, or
+    None when the text is not a template label."""
+    m = _TEMPLATE_LABEL.match(label)
+    if m is None:
+        return None
     if k < 2:
-        raise DomainError("template menu needs level k >= 2")
-    n = 1 << (k - 1)
-    out: List[Tuple[str, Element]] = [("U+", u(n)), ("U-", u(-n))]
+        raise DomainError(f"template menu needs level k >= 2, got {k}")
+    pure, variant, h, star, cycles = m.groups()
+    if pure:
+        sign = 1 if pure == "+" else -1
+        return ("pure", sign), u(sign << (k - 1))
+    if variant:
+        h, variant = int(h), int(variant)
+        return ("mixed", h, variant), mixed_template(k, h, variant)
+    p = PermUnitary(k - 1, parse_cycles(1 << (k - 1), cycles))
+    return ("inner", p.perm, bool(star)), _inner_image(p, bool(star))
+
+
+def template_labels(k: int) -> Iterator[str]:
+    """The menu's labels at level k, lazily and in order: U+, U-, M1:h and
+    M2:h for h = 0..k-2, then AD:cycles and AD*:cycles for each level-(k-1)
+    permutation in lex order.  Reaching the inner section past level
+    _MAX_MENU_LEVEL raises CapacityError."""
+    yield "U+"
+    yield "U-"
     for h in range(k - 1):
         for variant in (1, 2):
-            out.append((f"M{variant}:{h}", mixed_template(k, h, variant)))
-    seen = [el for _lbl, el in out]
+            yield f"M{variant}:{h}"
+    if k > _MAX_MENU_LEVEL:
+        raise CapacityError(
+            f"the inner templates number 2*{1 << (k - 1)}!; "
+            f"the full menu needs level <= {_MAX_MENU_LEVEL}")
     for pperm in itertools.permutations(range(1 << (k - 1))):
-        p_el = PermUnitary(k - 1, pperm).element
-        p_star = adjoint_el(p_el)
-        cyc = perm_to_cycles(pperm)
-        for tag, tpl in (("AD", mul(mul(p_el, u(1)), p_star)),
-                         ("AD*", mul(mul(p_el, u(-1)), p_star))):
-            if not any(eq(tpl, old) for old in seen):
-                seen.append(tpl)
-                out.append((f"{tag}:{cyc}", tpl))
-    return out
+        cycles = perm_to_cycles(pperm)
+        yield f"AD:{cycles}"
+        yield f"AD*:{cycles}"
 
 
-def u_templates(k: int) -> List[Element]:
-    return [el for _lbl, el in u_templates_labeled(k)]
+def u_templates_labeled(k: int) -> List[Tuple[str, Element]]:
+    """The standard menu of candidate images of U at level k as (label,
+    element) pairs: U^{±2^{k-1}}, the mixed projection pairs for each h,
+    and the inner images p U p* and p U* p* over the level-(k-1)
+    permutation unitaries."""
+    return [(label, parse_template(k, label)[1]) for label in template_labels(k)]
 
 
 # constructive families --------------------------------------------------------
@@ -318,20 +354,17 @@ def make_inner_phi(p: PermUnitary, with_flip: bool) -> ExtendedEndo:
     flip-flop when asked): u = p phi(p*) (times f), image of U = pUp*
     (resp. pU*p*)."""
     p_el = p.element
-    p_star = adjoint_el(p_el)
-    u_el = mul(p_el, phi(p_star))
+    u_el = mul(p_el, phi(adjoint_el(p_el)))
     if with_flip:
         u_el = mul(u_el, flip_flop())
-    u_tilde = mul(mul(p_el, u(-1 if with_flip else 1)), p_star)
     pu = perm_unitary_from_element(u_el, p.level + 1)
-    return extend(pu, u_tilde)
+    return extend(pu, _inner_image(p, with_flip))
 
 
-def lambda_f_el(e: Element) -> Element:
-    """The flip-flop endomorphism on sums of monomials: swap the letters
-    1 and 2 in every word."""
-    return Element({Monomial(flip(m.alpha), m.k, flip(m.beta)): c
-                    for m, c in e.terms.items()})
+def _inner_image(p: PermUnitary, with_flip: bool) -> Element:
+    """p U p*, or p U* p* with the flip-flop."""
+    p_el = p.element
+    return mul(mul(p_el, u(-1 if with_flip else 1)), adjoint_el(p_el))
 
 
 # enumeration ------------------------------------------------------------------
@@ -376,22 +409,11 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
 
 
 def _template_kind(k: int, template: Element):
-    n = 1 << (k - 1)
-    if eq(template, u(n)):
-        return ("pure", 1)
-    if eq(template, u(-n)):
-        return ("pure", -1)
-    for h in range(k - 1):
-        for variant in (1, 2):
-            if eq(template, mixed_template(k, h, variant)):
-                return ("mixed", h, variant)
-    for pperm in itertools.permutations(range(1 << (k - 1))):
-        p_el = PermUnitary(k - 1, pperm).element
-        p_star = adjoint_el(p_el)
-        if eq(template, mul(mul(p_el, u(1)), p_star)):
-            return ("inner", pperm, False)
-        if eq(template, mul(mul(p_el, u(-1)), p_star)):
-            return ("inner", pperm, True)
+    """Kind of the first menu entry equal to the template, or None."""
+    for label in template_labels(k):
+        kind, element = parse_template(k, label)
+        if eq(template, element):
+            return kind
     return None
 
 
@@ -399,6 +421,10 @@ def constructive_family(k: int, template: Element) -> List[PermUnitary]:
     kind = _template_kind(k, template)
     if kind is None:
         raise DomainError("no constructive family matches this template")
+    return _family(k, kind)
+
+
+def _family(k: int, kind: tuple) -> List[PermUnitary]:
     if kind[0] == "pure":
         return list(enumerate_u_p(k, kind[1]))
     if kind[0] == "mixed":
@@ -469,3 +495,69 @@ def _phi_pow(e: Element, j: int) -> Element:
     for _ in range(j):
         e = phi(e)
     return e
+
+
+# reproduction suites ------------------------------------------------------------
+
+def run_verify_table(path):
+    """Check every fixture row: cycles match the element, element is the
+    stated permutative unitary, and both extension equations hold."""
+    try:
+        f = open(path)
+    except OSError as exc:
+        raise DomainError(f"cannot open table {path}: {exc.strerror}") from None
+    rows = []
+    with f:
+        for line in f:
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            rows.append(line.split("\t"))
+    failures = []
+    for i, row in enumerate(rows, 1):
+        try:
+            cycles, elem_text, tilde_text = row
+            pu = perm_unitary_from_element(parse_element(elem_text))
+            if perm_to_cycles(pu.perm) != cycles:
+                raise DomainError(
+                    f"cycle column {cycles} does not match element "
+                    f"({perm_to_cycles(pu.perm)})"
+                )
+            e1, e2 = check_extension_parts(pu, parse_element(tilde_text))
+            if not (e1 and e2):
+                raise DomainError(f"extension check failed: ext1={e1} ext2={e2}")
+        except (ValueError, DomainError) as exc:
+            failures.append((i, str(exc)))
+    return len(rows), failures
+
+
+def run_verify_counts(level, sample=1000):
+    """Constructive family sizes against the closed-form counts for the pure
+    and mixed templates, with extension checks on every member (or a
+    deterministic sample when a family is larger than `sample`)."""
+    import random
+
+    report = []
+    checks = 0
+    for label in template_labels(level):
+        kind, template = parse_template(level, label)
+        if kind[0] == "inner":
+            break
+        if kind[0] == "pure":
+            expected = factorial(2 ** (level - 1))
+        else:
+            h = kind[1]
+            expected = (factorial(2 ** (level - h - 2)) * 2 ** h) ** 2
+        members = _family(level, kind)
+        count_ok = len(members) == len({pu.perm for pu in members}) == expected
+        idx = range(len(members))
+        if sample and len(members) > sample:
+            idx = sorted(random.Random(0).sample(idx, sample))
+        ext_ok = True
+        for i in idx:
+            checks += 1
+            if not check_extension(members[i], template):
+                ext_ok = False
+                break
+        report.append((label, len(members), expected, count_ok and ext_ok))
+    return report, checks

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import ParseError
-from .words import Word, decode, is_prefix, offset, parse_word, word_str
+from .words import Word, decode, is_prefix, offset, word_str
 
 
 class Monomial(NamedTuple):

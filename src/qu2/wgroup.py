@@ -16,10 +16,10 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .element import Element, adjoint_el, eq, mul, normalize
+from .element import Element, mul, normalize
 from .errors import DomainError, ParseError
 from .monomial import Monomial
-from .words import Word, word_str
+from .words import Word
 
 Tree = object  # 0 for a leaf, (Tree, Tree) for an interior node
 
@@ -238,11 +238,14 @@ def diagram_from_json(text: str) -> Diagram:
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", exc.pos)
     try:
-        return Diagram(tree_from_obj(obj["tplus"]), tree_from_obj(obj["tminus"]),
-                       tuple(int(x) for x in obj["tau"]),
-                       tuple(int(x) for x in obj["v"]))
-    except (KeyError, TypeError) as exc:
+        t_plus, t_minus = tree_from_obj(obj["tplus"]), tree_from_obj(obj["tminus"])
+        tau = tuple(int(x) for x in obj["tau"])
+        v = tuple(int(x) for x in obj["v"])
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad diagram JSON: {exc}")
+    return Diagram(t_plus, t_minus, tau, v)
 
 
 # rendering -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line driver (in-process main())."""
 
 import json
+import signal
 
 import pytest
 
@@ -12,6 +13,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def one_line_error(err):
+    return err.count("\n") == 1 and err.startswith("qu2: ")
 
 
 # ---------------------------------------------------------------- algebra verbs
@@ -232,7 +237,64 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_template_verbs_need_level_2(capsys):
+    # one k >= 2 rule for the menu, the counts and label templates
+    for argv in (("verify-counts", "--level", "0"),
+                 ("verify-counts", "--level", "1"),
+                 ("templates", "--level", "1"),
+                 ("check-ext", "id", "--level", "1", "--template", "U+"),
+                 ("construct", "--level", "1", "--template", "U+")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert one_line_error(err) and "k >= 2" in err, (argv, err)
+    # an element expression is not a label and keeps working at level 1
+    code, out, _ = run(capsys, "check-ext", "S[1] S*[2] + S[2] S*[1]",
+                       "--template", "U^-1")
+    assert (code, out) == (0, "ext1=true ext2=true extendible=true\n")
+
+
+def test_negative_level_names_the_level(capsys):
+    code, out, err = run(capsys, "check-ext", "(1 2)", "--template", "U+",
+                         "--level", "-1")
+    assert (code, out) == (1, "")
+    assert one_line_error(err) and "level" in err and "-1" in err
+
+
+def test_templates_past_level_4_is_capacity_error(capsys):
+    # the level-5 inner section has 2 * 16! entries; it must be refused
+    # before any of it is built, not time out
+    def stop(_signum, _frame):
+        raise TimeoutError("templates --level 5 was not refused")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(30)
+    try:
+        code, out, err = run(capsys, "templates", "--level", "5")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert (code, out) == (1, "")
+    assert one_line_error(err) and "level <= 4" in err
+
+
+def test_reduce_bad_json_exit_codes(capsys):
+    # a non-integer in tau is a parse error ...
+    code, _, err = run(capsys, "reduce",
+                       '{"tplus":0,"tminus":0,"tau":["a"],"v":[0]}')
+    assert code == 2 and one_line_error(err) and "parse error" in err
+    # ... while a well-formed but invalid diagram is a domain error
+    code, _, err = run(capsys, "reduce",
+                       '{"tplus":0,"tminus":0,"tau":[1],"v":[0]}')
+    assert code == 1 and one_line_error(err) and "permutation" in err
+
+
 # ---------------------------------------------------------------- suites
+
+
+def test_verify_table_missing_file(capsys, tmp_path):
+    code, out, err = run(capsys, "verify-table", str(tmp_path / "missing.tsv"))
+    assert (code, out) == (1, "")
+    assert one_line_error(err) and "missing.tsv" in err
 
 
 def test_verify_table_packaged(capsys):

@@ -230,3 +230,11 @@ def test_deterministic_output():
     e = parse_element("S[2] U S*[1] + P[1] + 1/2*U^-2")
     assert element_str(e) == element_str(parse_element(element_str(e)))
     assert element_str(zero()) == "0"
+
+
+def test_package_root_constructors_are_elements():
+    import qu2
+
+    prod = qu2.s((1,)) * qu2.u() * qu2.s_star((1,))
+    assert eq(prod, parse_element("S[1] U S*[1]"))
+    assert eq(qu2.proj((2,)) + qu2.proj((1,)), qu2.one())

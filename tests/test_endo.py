@@ -1,4 +1,5 @@
-from itertools import permutations
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,8 @@ from qu2.endo import (
     perm_unitary,
     perm_unitary_from_cycles,
     perm_unitary_from_element,
-    u_templates,
+    parse_template,
+    template_labels,
     u_templates_labeled,
 )
 
@@ -115,7 +117,7 @@ def test_templates_menu():
     labels2 = [label for label, _t in u_templates_labeled(2)]
     assert labels2 == ["U+", "U-", "M1:0", "M2:0",
                        "AD:id", "AD*:id", "AD:(1 2)", "AD*:(1 2)"]
-    ts = u_templates(2)
+    ts = [t for _label, t in u_templates_labeled(2)]
     assert eq(ts[0], u(2)) and eq(ts[1], u(-2))
     # mixed templates commute past the power of U at matching depth
     lhs = mixed_template(2, 0, 1)
@@ -126,7 +128,43 @@ def test_templates_menu():
     assert len([l for l in labels3 if l.startswith("AD:")]) \
         == len([l for l in labels3 if l.startswith("AD*:")])
     with pytest.raises(DomainError):
-        u_templates(1)
+        u_templates_labeled(1)
+
+
+def test_menu_entries_pairwise_distinct():
+    # why the menu needs no dedupe: no two entries are equal operators
+    for k, size in ((2, 8), (3, 54)):
+        menu = [t for _label, t in u_templates_labeled(k)]
+        assert len(menu) == size == 2 + 2 * (k - 1) + 2 * factorial(1 << (k - 1))
+        for i, j in combinations(range(size), 2):
+            assert not eq(menu[i], menu[j]), (k, i, j)
+
+
+def test_parse_template_labels():
+    kind, element = parse_template(3, "AD*:(1 2)")
+    assert kind == ("inner", (1, 0, 2, 3), True)
+    assert eq(element, mul(mul(pu2("(1 2)").element, u(-1)),
+                           adjoint_el(pu2("(1 2)").element)))
+    assert parse_template(3, "M2:1")[0] == ("mixed", 1, 2)
+    assert parse_template(3, "U-")[0] == ("pure", -1)
+    # element expressions are not labels
+    assert parse_template(3, "U^4") is None
+    for k in (1, 0, -1):
+        with pytest.raises(DomainError):
+            parse_template(k, "U+")
+    with pytest.raises(DomainError):
+        parse_template(3, "M1:2")
+
+
+def test_menu_capacity_past_level_4():
+    labels = template_labels(5)
+    assert [next(labels) for _ in range(10)][-1] == "M2:3"
+    with pytest.raises(CapacityError):
+        next(labels)
+    with pytest.raises(CapacityError):
+        u_templates_labeled(5)
+    # a family found before the inner section stays reachable
+    assert len(constructive_family(5, mixed_template(5, 2, 1))) == 64
 
 
 def test_make_u_p():
