@@ -253,10 +253,10 @@ def cmd_construct(args):
             perm = parse_cycles(tail, sigma) if sigma else tuple(range(tail))
             return (bits, perm)
 
-        pu = make_u_sigma(k, h, variant,
-                          side1=side(args.mask1, args.sigma1),
-                          side2=side(args.mask2, args.sigma2))
-        endo = extend(pu, template)
+        endo = extend(make_u_sigma(k, h, variant,
+                                   side1=side(args.mask1, args.sigma1),
+                                   side2=side(args.mask2, args.sigma2)),
+                      template)
     else:
         _tag, pperm, with_flip = kind
         endo = make_inner_phi(PermUnitary(k - 1, pperm), with_flip)
