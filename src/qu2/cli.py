@@ -56,6 +56,7 @@ from .endo import (
     perm_unitary_from_element,
     run_verify_counts,
     run_verify_table,
+    template_labels,
     u_templates_labeled,
 )
 
@@ -68,10 +69,10 @@ def _emit(args, text_lines, payload):
             print(line)
 
 
-def _parse_template_arg(text: str, level: int) -> Element:
-    """A --template argument: a menu label, else an element expression."""
-    labelled = parse_template(level, text)
-    return labelled[1] if labelled else parse_element(text)
+def _parse_template_arg(text: str, level: int):
+    """A --template argument as (kind, element): a menu label, else an
+    element expression of kind None."""
+    return parse_template(level, text) or (None, parse_element(text))
 
 
 def _parse_unitary(text: str, level) -> PermUnitary:
@@ -215,7 +216,7 @@ def cmd_eval(args):
 
 def cmd_check_ext(args):
     pu = _parse_unitary(args.unitary, args.level)
-    template = _parse_template_arg(args.template, pu.level)
+    _kind, template = _parse_template_arg(args.template, pu.level)
     e1, e2 = check_extension_parts(pu, template)
     line = (
         f"ext1={'true' if e1 else 'false'} ext2={'true' if e2 else 'false'} "
@@ -278,15 +279,16 @@ def cmd_construct(args):
 def cmd_enumerate(args):
     k = args.level
     if args.all_templates:
-        menu = u_templates_labeled(k)
+        menu = ((label, parse_template(k, label))
+                for label in template_labels(k))
     elif args.template:
         menu = [(args.template, _parse_template_arg(args.template, k))]
     else:
         raise DomainError("enumerate needs --template or --all-templates")
     results = []
-    for label, template in menu:
+    for label, (kind, template) in menu:
         for pu in enumerate_extendible(k, template, mode=args.mode,
-                                       jobs=args.jobs):
+                                       jobs=args.jobs, kind=kind):
             results.append((label, pu))
     lines = [
         f"{label}\t{perm_to_cycles(pu.perm)}\t{element_str(pu.element)}"
@@ -461,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-templates", action="store_true")
     p.add_argument("--mode", choices=("brute", "constructive"),
                    default="brute")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; the search is serial")
 
     p = add("probe", cmd_probe, "symbolic automorphism probe")
     p.add_argument("unitary", help="element expression or cycle notation")

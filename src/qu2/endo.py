@@ -11,7 +11,8 @@ unitary Utilde satisfies
 check_extension decides both equations by element arithmetic for any
 candidate Utilde; the constructive families (make_u_p, make_u_sigma,
 make_inner_phi) build unitaries that pass it for the standard template
-menu, and enumerate_extendible sweeps whole permutation groups.
+menu, and enumerate_extendible classifies all extendible permutations of a
+level by a search that ext1 prunes and check_extension verifies.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 import re
 from math import factorial
-from multiprocessing import Pool
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .element import (Element, adjoint_el, eq, flip_flop, is_unitary, mul,
@@ -370,42 +370,82 @@ def _inner_image(p: PermUnitary, with_flip: bool) -> Element:
 # enumeration ------------------------------------------------------------------
 
 _MAX_BRUTE_LEVEL = 3
-
-
-def _check_one(args) -> Optional[Perm]:
-    level, perm, u_tilde = args
-    pu = PermUnitary(level, perm)
-    return perm if check_extension(pu, u_tilde) else None
+_MAX_FAMILY = 100_000  # members a constructive family may list
 
 
 def enumerate_extendible(k: int, template: Element, mode: str = "brute",
-                         jobs: int = 1) -> List[PermUnitary]:
+                         jobs: int = 1,
+                         kind: Optional[tuple] = None) -> List[PermUnitary]:
     """Every u in the level-k permutation unitaries extendible with the given
-    template as image of U.
+    template as image of U, in lex order of the permutation.
 
-    brute mode sweeps all (2^k)! permutations (k <= 3); constructive mode
-    replays the closed-form family attached to the template and raises a
-    domain error for templates with no such family.
+    brute mode is a complete classification (k <= 3): ext1 forces rho on the
+    words 1y from rho on the words 2y, a search over the 2-half prunes every
+    collision, and check_extension verifies each survivor.  constructive
+    mode replays the closed-form family attached to the template (kind, as
+    given by parse_template, skips the menu scan) and raises a domain error
+    for templates with no such family.  jobs is accepted for compatibility;
+    the search is serial.
     """
     if mode == "constructive":
-        return constructive_family(k, template)
+        return constructive_family(k, template, kind)
     if mode != "brute":
         raise DomainError(f"unknown mode {mode!r}")
+    if k < 0:
+        raise DomainError(f"level must be >= 0, got {k}")
     if k > _MAX_BRUTE_LEVEL:
         raise CapacityError(
             f"brute force over {1 << k}! permutations is not tractable; "
             f"level must be <= {_MAX_BRUTE_LEVEL}")
-    perms = itertools.permutations(range(1 << k))
-    if jobs and jobs > 1:
-        with Pool(jobs) as pool:
-            hits = pool.imap(_check_one,
-                             ((k, perm, template) for perm in perms),
-                             chunksize=512)
-            found = [perm for perm in hits if perm is not None]
-    else:
-        found = [perm for perm in perms
-                 if check_extension(PermUnitary(k, perm), template)]
+    if not is_unitary(template):
+        raise DomainError("candidate image of U must be unitary")
+    found = sorted(perm for perm in _ext1_candidates(k, template)
+                   if check_extension(PermUnitary(k, perm), template))
     return [PermUnitary(k, perm) for perm in found]
+
+
+def _ext1_candidates(k: int, template: Element) -> Iterator[Perm]:
+    """The level-k permutations that satisfy ext1; at level 0, unfiltered,
+    the only permutation there is.
+    With y over the length-(k-1) words, u S_2 = sum_y S_rho(2y) S_y* and
+    u S_1 = sum_y S_rho(1y) S_y*, so ext1 holds iff Utilde S_rho(2y) =
+    S_rho(1y) for every y."""
+    if k == 0:
+        yield (0,)
+        return
+    half = 1 << (k - 1)  # 1y has lex index j, 2y has half + j
+    forced = _forced_images(k, template)
+    perm = [0] * (2 * half)
+    used = [False] * (2 * half)
+
+    def place(j: int) -> Iterator[Perm]:
+        if j == half:
+            yield tuple(perm)
+            return
+        for a, b in forced.items():
+            if used[a] or used[b] or a == b:
+                continue
+            used[a] = used[b] = True
+            perm[half + j], perm[j] = a, b
+            yield from place(j + 1)
+            used[a] = used[b] = False
+
+    yield from place(0)
+
+
+def _forced_images(k: int, template: Element) -> Dict[int, int]:
+    """{a: b} over lex indices of length-k words with Utilde S_a = S_b.  A
+    term of the normal form proposes b; eq decides."""
+    forced = {}
+    for a, word in enumerate(all_words(k)):
+        image = mul(template, s(word))
+        m = next(iter(normalize(image).terms), None)
+        if m is None or len(m.alpha) - len(m.beta) != k:
+            continue
+        b = m.alpha[:k]
+        if eq(image, s(b)):
+            forced[a] = lex_index(b)
+    return forced
 
 
 def _template_kind(k: int, template: Element):
@@ -417,14 +457,33 @@ def _template_kind(k: int, template: Element):
     return None
 
 
-def constructive_family(k: int, template: Element) -> List[PermUnitary]:
-    kind = _template_kind(k, template)
+def constructive_family(k: int, template: Element,
+                        kind: Optional[tuple] = None) -> List[PermUnitary]:
+    """The closed-form family of the template; kind, when the caller has it
+    from parse_template, skips the eq scan of the menu."""
+    if kind is None:
+        kind = _template_kind(k, template)
     if kind is None:
         raise DomainError("no constructive family matches this template")
     return _family(k, kind)
 
 
+def _family_size(k: int, kind: tuple) -> int:
+    """Closed-form member count: (2^(k-1))! for U±, (2^h (2^(k-h-2))!)^2
+    for a mixed template, 1 for an inner one."""
+    if kind[0] == "pure":
+        return factorial(1 << (k - 1))
+    if kind[0] == "mixed":
+        h = kind[1]
+        return (factorial(1 << (k - h - 2)) << h) ** 2
+    return 1
+
+
 def _family(k: int, kind: tuple) -> List[PermUnitary]:
+    size = _family_size(k, kind)
+    if size > _MAX_FAMILY:
+        raise CapacityError(f"the family has {size} members; "
+                            f"at most {_MAX_FAMILY} can be listed")
     if kind[0] == "pure":
         return list(enumerate_u_p(k, kind[1]))
     if kind[0] == "mixed":
@@ -543,11 +602,7 @@ def run_verify_counts(level, sample=1000):
         kind, template = parse_template(level, label)
         if kind[0] == "inner":
             break
-        if kind[0] == "pure":
-            expected = factorial(2 ** (level - 1))
-        else:
-            h = kind[1]
-            expected = (factorial(2 ** (level - h - 2)) * 2 ** h) ** 2
+        expected = _family_size(level, kind)
         members = _family(level, kind)
         count_ok = len(members) == len({pu.perm for pu in members}) == expected
         idx = range(len(members))

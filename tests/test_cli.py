@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line driver (in-process main())."""
 
+import contextlib
 import json
 import signal
 
@@ -260,21 +261,55 @@ def test_negative_level_names_the_level(capsys):
     assert one_line_error(err) and "level" in err and "-1" in err
 
 
-def test_templates_past_level_4_is_capacity_error(capsys):
-    # the level-5 inner section has 2 * 16! entries; it must be refused
-    # before any of it is built, not time out
+@contextlib.contextmanager
+def time_limit(seconds, what):
+    """Raise TimeoutError in the block after the given wall time."""
     def stop(_signum, _frame):
-        raise TimeoutError("templates --level 5 was not refused")
+        raise TimeoutError(f"{what} took over {seconds} s")
 
     old = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(30)
+    signal.alarm(seconds)
     try:
-        code, out, err = run(capsys, "templates", "--level", "5")
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+def test_templates_past_level_4_is_capacity_error(capsys):
+    # the level-5 inner section has 2 * 16! entries; it must be refused
+    # before any of it is built, not time out
+    with time_limit(30, "templates --level 5"):
+        code, out, err = run(capsys, "templates", "--level", "5")
     assert (code, out) == (1, "")
     assert one_line_error(err) and "level <= 4" in err
+
+
+def test_family_past_capacity_is_refused(capsys):
+    # U+ alone has 16! members at level 5; they must not be listed
+    for argv in (("verify-counts", "--level", "5"),
+                 ("enumerate", "--level", "5", "--mode", "constructive",
+                  "--template", "U+")):
+        with time_limit(20, " ".join(argv)):
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert one_line_error(err) and "members" in err, (argv, err)
+
+
+def test_enumerate_constructive_label_is_not_searched(capsys):
+    # the label names its family; no eq scan over the 80,640 level-4
+    # inner templates
+    with time_limit(5, "constructive enumerate of an inner label"):
+        code, out, _ = run(capsys, "enumerate", "--level", "4", "--mode",
+                           "constructive", "--template",
+                           "AD*:(1 8)(2 7)(3 6)(4 5)")
+    assert code == 0
+    pairs = [f"S[{a}{b}] S*[{a}{3 - b}]"
+             for a in ("111", "112", "121", "122", "211", "212", "221", "222")
+             for b in (1, 2)]
+    assert out == ("AD*:(1 8)(2 7)(3 6)(4 5)\t"
+                   "(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)(13 14)(15 16)\t"
+                   + " + ".join(pairs) + "\n1 results\n")
 
 
 def test_reduce_bad_json_exit_codes(capsys):
