@@ -15,11 +15,15 @@ from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .element import Element
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .monomial import Monomial
 from .words import Word, is_partition
 
 Zero = None  # absorbing image of a basis vector
+
+# semantic_eq refuses to probe more points than this (beta words of up to
+# 16 letters)
+_MAX_PROBES = 3 << 16
 
 
 class BasisVector(NamedTuple):
@@ -78,10 +82,14 @@ def semantic_eq(e1: Element, e2: Element) -> bool:
 
     At depth L every monomial acts on a single residue class mod 2^L by an
     affine map, and distinct affine maps agree at most once, so probing
-    three spread-out points per class decides equality.
+    three spread-out points per class decides equality.  That is 3 * 2^L
+    probes; more than _MAX_PROBES is a CapacityError.
     """
     depth = max(e1.depth(), e2.depth())
     span = 1 << depth
+    if 3 * span > _MAX_PROBES:
+        raise CapacityError(f"depth {depth} needs {3 * span} probes; "
+                            f"the limit is {_MAX_PROBES}")
     for r in range(span):
         for n in (r - span, r, r + span):
             if _image_map(e1, n) != _image_map(e2, n):

@@ -1,9 +1,22 @@
 """Finite rational combinations of monomials, with exact normal forms.
 
 An Element is a collected map Monomial -> nonzero coefficient (int or
-Fraction).  The canonical form at depth L rewrites every term so that all
-beta words have length exactly L; two elements are equal iff their canonical
-forms at a common depth coincide.  All arithmetic is exact.
+Fraction).  All arithmetic is exact.
+
+Equality is decided on the common refinement of the beta words: a term is
+expanded (expand_right) only while its beta is a proper prefix of some beta
+present in either operand.  The betas that remain form a prefix-free set,
+and over a prefix-free set of betas distinct triples (alpha, k, beta) are
+distinct affine maps on the residue classes of their betas in l^2(Z), hence
+linearly independent; so two elements are equal iff their refined term maps
+coincide.  Expanding a refined form further to one common depth never
+merges two terms, so unitarity, membership and total charge read the
+refined form too.  The uniform-depth canonical form (normalize) is kept for
+everything that prints a normal form.
+
+`Element.__eq__` is structural: it compares the stored terms.  Operator
+equality is `eq`, which holds across depths (`eq(u(), normalize(u(), 3))`
+while `u() != normalize(u(), 3)`).
 """
 
 from __future__ import annotations
@@ -13,12 +26,16 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import DomainError, ParseError
+from .errors import CapacityError, DomainError, ParseError
 from .monomial import (Monomial, ONE, adjoint_mono, expand_right, mono_mul,
                        mono_str, u_pow)
 from .words import Word, is_partition, offset, parse_word, word_str
 
 Coeff = object  # int | Fraction, kept exact throughout
+
+# normalize refuses to write more terms than this (2^16: every beta of an
+# element brought 16 letters deeper)
+_MAX_TERMS = 1 << 16
 
 
 def _add_terms(acc: Dict[Monomial, Coeff],
@@ -158,13 +175,19 @@ def normalize(e: Element, depth: Optional[int] = None) -> Element:
 
     With depth=None the minimal common depth (longest stored beta) is used;
     an explicit depth below that is a DomainError since expansion only
-    lengthens beta words.
+    lengthens beta words.  A form of more than _MAX_TERMS terms is a
+    CapacityError: a term with beta b becomes 2^(depth - |b|) terms.
     """
     min_depth = e.depth()
     if depth is None:
         depth = min_depth
     elif depth < min_depth:
         raise DomainError(f"depth {depth} below canonical depth {min_depth}")
+    # one term 17 letters short is over the limit alone: cap the shift
+    # there, so a huge depth does not build a huge integer
+    if sum(1 << min(depth - len(m.beta), 17) for m in e.terms) > _MAX_TERMS:
+        raise CapacityError(f"the form at depth {depth} has over "
+                            f"{_MAX_TERMS} terms")
     # inline like Element.__mul__: a generator into _add_terms makes
     # normalize about a quarter slower on terms already at depth
     acc: Dict[Monomial, Coeff] = {}
@@ -183,10 +206,45 @@ def normalize(e: Element, depth: Optional[int] = None) -> Element:
     return Element(acc)
 
 
+def _refine(*es: Element) -> List[Dict[Monomial, Coeff]]:
+    """The collected term maps of the elements on the common refinement of
+    all their beta words: each term is expanded while its beta is a proper
+    prefix of some beta present, so the betas left are prefix-free."""
+    betas = {m.beta for e in es for m in e.terms}
+    # the trie's inner nodes, one level of parents at a time: a node
+    # already in the set had its parent queued when it went in
+    inner = set()
+    parents = {b[:-1] for b in betas if b}
+    while parents:
+        parents -= inner
+        inner |= parents
+        parents = {p[:-1] for p in parents if p}
+    out = []
+    for e in es:
+        acc: Dict[Monomial, Coeff] = {}
+        for m, c in e.terms.items():
+            stack = [m]
+            while stack:
+                cur = stack.pop()
+                if cur.beta in inner:
+                    stack.extend(expand_right(cur))
+                    continue
+                # most leaves are new: skip the int + Fraction addition
+                old = acc.get(cur)
+                new = c if old is None else old + c
+                if new:
+                    acc[cur] = new
+                else:
+                    acc.pop(cur, None)
+        out.append(acc)
+    return out
+
+
 def eq(e1: Element, e2: Element) -> bool:
-    """Symbolic equality via common-depth canonical forms."""
-    depth = max(e1.depth(), e2.depth())
-    return normalize(e1, depth).terms == normalize(e2, depth).terms
+    """Operator equality: the refined term maps on the common refinement
+    of both elements' beta words coincide."""
+    f1, f2 = _refine(e1, e2)
+    return f1 == f2
 
 
 def phi(e: Element) -> Element:
@@ -197,16 +255,14 @@ def phi(e: Element) -> Element:
 
 
 def is_unitary(e: Element) -> bool:
-    """True iff the canonical form is a coefficient-1 sum over a pair of
+    """True iff the refined form is a coefficient-1 sum over a pair of
     complete prefix-free families (alphas and betas each a partition)."""
-    f = normalize(e)
-    if not f.terms:
+    (f,) = _refine(e)
+    if not f:
         return False
-    if any(c != 1 for c in f.terms.values()):
+    if any(c != 1 for c in f.values()):
         return False
-    alphas = [m.alpha for m in f.terms]
-    betas = [m.beta for m in f.terms]
-    return is_partition(alphas) and is_partition(betas)
+    return is_partition(m.alpha for m in f) and is_partition(m.beta for m in f)
 
 
 class Membership(dict):
@@ -220,22 +276,25 @@ class Membership(dict):
 
 
 def membership(e: Element) -> Membership:
-    f = normalize(e)
-    terms = list(f.terms)
-    in_o2 = all(m.k == 0 for m in terms)
-    in_qt = all(len(m.alpha) == len(m.beta) for m in terms)
+    """Flags read off the refined form; expansion keeps k == 0 (a nonzero
+    charge always leaves a nonzero child), |alpha| - |beta| and alpha ==
+    beta, so they are those of every canonical form."""
+    (f,) = _refine(e)
+    in_o2 = all(m.k == 0 for m in f)
+    in_qt = all(len(m.alpha) == len(m.beta) for m in f)
     in_f2 = in_o2 and in_qt
-    in_d2 = in_f2 and all(m.alpha == m.beta for m in terms)
+    in_d2 = in_f2 and all(m.alpha == m.beta for m in f)
     return Membership(in_O2=in_o2, in_QT=in_qt, in_F2=in_f2, in_D2=in_d2)
 
 
 def total_charge(e: Element) -> int:
-    """Sum of the charges of a unitary's canonical form; the abelianized
+    """Sum of the charges of a unitary's refined form; the abelianized
     class of the element (invariant under re-expansion, additive under
     multiplication)."""
     if not is_unitary(e):
         raise DomainError("total_charge requires a unitary element")
-    return sum(m.k for m in normalize(e).terms)
+    (f,) = _refine(e)
+    return sum(m.k for m in f)
 
 
 def putnam_form(e: Element) -> List[Tuple[Element, int]]:

@@ -312,6 +312,41 @@ def test_enumerate_constructive_label_is_not_searched(capsys):
                    + " + ".join(pairs) + "\n1 results\n")
 
 
+# a 64-letter word: expanding every term to its depth would take 2^64 terms
+DEEP = "12" * 20 + "1" * 10 + "2" * 14
+
+
+def test_eq_deep_word(capsys):
+    with time_limit(5, "eq with a 64-letter word"):
+        code, out, _ = run(capsys, "eq", f"S[{DEEP}] S*[{DEEP}] + U",
+                           f"U + P[{DEEP}]")
+        assert (code, out) == (0, "true\n")
+        code, out, _ = run(capsys, "eq", f"S[{DEEP}] S*[{DEEP}] + U",
+                           f"U + 2*P[{DEEP}]")
+        assert (code, out) == (0, "false\n")
+
+
+def test_deep_word_predicates(capsys):
+    shift = f"S[{DEEP}] U S*[{DEEP}] + 1 - P[{DEEP}]"
+    with time_limit(5, "predicates with a 64-letter word"):
+        code, out, _ = run(capsys, "membership", f"P[{'1' * 64}] + U")
+        assert (code, out) == (0, "in_O2=false in_QT=true in_F2=false in_D2=false\n")
+        assert run(capsys, "unitary", shift)[:2] == (0, "true\n")
+        assert run(capsys, "unitary", f"P[{DEEP}] + U")[:2] == (0, "false\n")
+        assert run(capsys, "charge", shift)[:2] == (0, "1\n")
+
+
+def test_uniform_depth_past_capacity_is_refused(capsys):
+    # these print the form with every beta at one depth: 2^40 terms and more
+    for argv in (("normalize", "U", "--depth", "40"),
+                 ("normalize", "U", "--depth", "1000000000"),
+                 ("putnam", f"S[{DEEP}] U S*[{DEEP}] + 1 - P[{DEEP}]")):
+        with time_limit(5, " ".join(argv)):
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert one_line_error(err) and "terms" in err, (argv, err)
+
+
 def test_reduce_bad_json_exit_codes(capsys):
     # a non-integer in tau is a parse error ...
     code, _, err = run(capsys, "reduce",

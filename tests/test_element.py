@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qu2.canrep import apply_basis
-from qu2.errors import DomainError, ParseError
+from qu2.canrep import apply_basis, semantic_eq
+from qu2.errors import CapacityError, DomainError, ParseError
 from qu2.element import (
     Element,
     add,
@@ -22,13 +23,17 @@ from qu2.element import (
     parse_element,
     phi,
     putnam_form,
+    s,
+    s_star,
     scale,
     to_json,
     total_charge,
     u,
     zero,
 )
-from qu2.monomial import Monomial
+from qu2.monomial import Monomial, expand_right
+from qu2.wgroup import Diagram, to_element
+from qu2.words import is_partition
 
 words = st.lists(st.sampled_from((1, 2)), max_size=3).map(tuple)
 monos = st.builds(Monomial, words, st.integers(-8, 8), words)
@@ -116,6 +121,9 @@ def test_membership():
     assert (mu.in_O2, mu.in_QT) == (False, True)
     mp = membership(parse_element("P[12]"))
     assert (mp.in_O2, mp.in_QT, mp.in_F2, mp.in_D2) == (True,) * 4
+    # the charged terms cancel only once U is split: the flip-flop
+    mc = membership(parse_element("U - S[2] U S*[1] + S[2] S*[1]"))
+    assert (mc.in_O2, mc.in_QT, mc.in_F2, mc.in_D2) == (True, True, True, False)
 
 
 def test_putnam_form():
@@ -176,6 +184,8 @@ def test_total_charge():
     assert total_charge(u()) == 1
     assert total_charge(u(-7)) == -7
     assert total_charge(F) == 0
+    # S[1] S*[2] + S[2] U^3 S*[1] once U is split
+    assert total_charge(parse_element("U - S[2] U S*[1] + S[2] U^3 S*[1]")) == 3
 
 
 def test_total_charge_expansion_invariant():
@@ -238,3 +248,233 @@ def test_package_root_constructors_are_elements():
     prod = qu2.s((1,)) * qu2.u() * qu2.s_star((1,))
     assert eq(prod, parse_element("S[1] U S*[1]"))
     assert eq(qu2.proj((2,)) + qu2.proj((1,)), qu2.one())
+
+
+# -- refined forms against the uniform-depth canonical form -------------------
+#
+# eq, is_unitary, membership and total_charge read the common refinement of
+# the beta words.  The reference is the uniform-depth form: every term
+# rewritten with its beta at the longest depth present.
+
+def uniform_eq(e1, e2):
+    depth = max(e1.depth(), e2.depth())
+    return normalize(e1, depth).terms == normalize(e2, depth).terms
+
+
+def uniform_is_unitary(e):
+    f = normalize(e).terms
+    return bool(f) and all(c == 1 for c in f.values()) \
+        and is_partition([m.alpha for m in f]) \
+        and is_partition([m.beta for m in f])
+
+
+def uniform_membership(e):
+    f = list(normalize(e).terms)
+    in_o2 = all(m.k == 0 for m in f)
+    in_qt = all(len(m.alpha) == len(m.beta) for m in f)
+    in_d2 = in_o2 and in_qt and all(m.alpha == m.beta for m in f)
+    return (in_o2, in_qt, in_o2 and in_qt, in_d2)
+
+
+def flags(e):
+    mf = membership(e)
+    return (mf.in_O2, mf.in_QT, mf.in_F2, mf.in_D2)
+
+
+def _random_element(rng, max_len=6, max_terms=16, max_charge=32):
+    """Criterion 6's elements: up to 16 terms, words of up to 6 letters,
+    charges in [-32, 32], small rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        alpha = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, max_len)))
+        beta = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, max_len)))
+        m = Monomial(alpha, rng.randint(-max_charge, max_charge), beta)
+        c = terms.get(m, 0) + Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+        if c:
+            terms[m] = c
+        else:
+            terms.pop(m, None)
+    return Element(terms)
+
+
+def _expand_some(rng, e, max_steps=3):
+    """The same operator with some terms split a random number of times
+    along random branches, so its betas have uneven depths."""
+    out = []
+    for m, c in e.terms.items():
+        stack = [(m, rng.randint(0, max_steps))]
+        while stack:
+            cur, steps = stack.pop()
+            if steps and rng.random() < 0.7:
+                stack.extend((half, steps - 1) for half in expand_right(cur))
+            else:
+                out.append((c, cur))
+    return Element.from_terms(out)
+
+
+def _perturbed(rng, e):
+    items = dict(e.terms)
+    m = rng.choice(list(items))
+    items[m] += Fraction(1, 5)
+    return Element.from_terms((c, m) for m, c in items.items())
+
+
+def _random_pair(rng):
+    a = _random_element(rng)
+    roll = rng.random()
+    if roll < 0.2:
+        return a, normalize(a, min(a.depth() + rng.randint(0, 2), 6))
+    if roll < 0.35:
+        return a, _expand_some(rng, a)
+    if roll < 0.45:
+        items = list(a.terms.items())
+        rng.shuffle(items)
+        return a, Element(dict(items))
+    if roll < 0.6 and a.terms:
+        return a, _perturbed(rng, _expand_some(rng, a))
+    return a, _random_element(rng)
+
+
+def test_eq_matches_uniform_depth_on_random_pairs():
+    rng = random.Random(4)
+    verdicts = []
+    for _ in range(1500):
+        a, b = _random_pair(rng)
+        verdict = eq(a, b)
+        assert verdict == uniform_eq(a, b), (a, b)
+        assert eq(b, a) == verdict
+        verdicts.append(verdict)
+    assert 400 < sum(verdicts) < 1100
+
+
+@given(elements, elements, st.randoms(use_true_random=False))
+def test_eq_matches_uniform_depth(e1, e2, rnd):
+    assert eq(e1, e2) == uniform_eq(e1, e2)
+    e3 = _expand_some(rnd, e1)
+    assert eq(e1, e3) and uniform_eq(e1, e3)
+    assert eq(e1 + e2, e3) == uniform_eq(e1 + e2, e3)
+
+
+def _random_diagram(rng, max_leaves=6, max_charge=8):
+    def tree(n):
+        if n == 1:
+            return 0
+        cut = rng.randint(1, n - 1)
+        return (tree(cut), tree(n - cut))
+    n = rng.randint(1, max_leaves)
+    return Diagram(tree(n), tree(n), tuple(rng.sample(range(n), n)),
+                   tuple(rng.randint(-max_charge, max_charge) for _ in range(n)))
+
+
+def _unitary_candidates(rng):
+    """Unitaries (diagram elements and their products with powers of U,
+    re-expanded unevenly) and near misses (one term dropped, doubled,
+    perturbed, or a random element)."""
+    w = to_element(_random_diagram(rng))
+    if rng.random() < 0.5:
+        w = u(rng.randint(-4, 4)) * w * to_element(_random_diagram(rng))
+    w = _expand_some(rng, w)
+    yield w
+    items = list(w.terms.items())
+    if len(items) > 1:
+        yield Element(dict(items[1:]))
+    yield w + Element.mono(items[0][0])
+    yield _perturbed(rng, w)
+    yield _random_element(rng, max_terms=6)
+
+
+def test_unitary_membership_charge_match_uniform_depth():
+    rng = random.Random(5)
+    unitaries = 0
+    for _ in range(400):
+        for e in _unitary_candidates(rng):
+            unitary = is_unitary(e)
+            assert unitary == uniform_is_unitary(e), e
+            assert flags(e) == uniform_membership(e), e
+            if unitary:
+                unitaries += 1
+                assert total_charge(e) == sum(m.k for m in normalize(e).terms)
+    assert unitaries >= 400
+
+
+def test_diagram_elements_match_uniform_depth():
+    rng = random.Random(6)
+    for _ in range(300):
+        e = to_element(_random_diagram(rng))
+        assert is_unitary(e) and uniform_is_unitary(e)
+        assert flags(e) == uniform_membership(e)
+        assert total_charge(e) == sum(e.terms[m] * m.k for m in e.terms)
+
+
+# -- deep beta words: the refinement stays linear in the depth ----------------
+
+def _deep_word(d):
+    return tuple(random.Random(d).choice((1, 2)) for _ in range(d))
+
+
+def _refined_u_along(w):
+    """U expanded only along the path of w: the terms off the path, plus
+    the one term whose beta is w."""
+    out, cur = [], Monomial((), 1, ())
+    while len(cur.beta) < len(w):
+        for half in expand_right(cur):
+            if half.beta == w[:len(half.beta)]:
+                cur = half
+            else:
+                out.append((1, half))
+    return Element.from_terms(out + [(1, cur)])
+
+
+def _deep_cases(w):
+    """(a, b, equal by construction) at the depth of w."""
+    pw = s(w) * s_star(w)
+    shift = s(w) * u() * s_star(w) + one() - pw   # U on the range of S_w
+    return [
+        (pw + u(), _refined_u_along(w) + pw, True),
+        (pw + u(), _refined_u_along(w) + pw.scale(2), False),
+        (shift * shift.adjoint(), one(), True),
+        (shift * shift, s(w) * u(2) * s_star(w) + one() - pw, True),
+        (shift * shift, s(w) * u(2) * s_star(w) + one(), False),
+        (s(w) * u(3) * s_star(w) * s(w), s(w) * u(3), True),
+    ]
+
+
+@pytest.mark.parametrize("d", [16, 32, 64])
+def test_deep_beta_eq(d):
+    cases = _deep_cases(_deep_word(d))
+    for a, b, equal in cases:
+        assert eq(a, b) == equal
+        assert eq(b, a) == equal
+    (a, b, _), (a2, b2, _) = cases[0], cases[4]
+    if d <= 16:
+        # within the oracle's probe budget
+        assert semantic_eq(a, b)
+        assert not semantic_eq(a2, b2)
+    else:
+        with pytest.raises(CapacityError):
+            semantic_eq(a, b)
+
+
+@pytest.mark.parametrize("d", [16, 32, 64])
+def test_deep_beta_unitary_membership(d):
+    w = _deep_word(d)
+    pw = s(w) * s_star(w)
+    shift = s(w) * u() * s_star(w) + one() - pw
+    assert is_unitary(shift)
+    assert total_charge(shift) == 1
+    assert flags(shift) == (False, True, False, False)
+    assert flags(pw + one() - pw) == (True,) * 4
+    assert flags(pw + u()) == (False, True, False, False)
+    assert flags(s(w) * s_star(w[1:]) + pw) == (True, False, False, False)
+    assert not is_unitary(pw + u())
+    assert not is_unitary(shift + pw)
+    with pytest.raises(CapacityError):
+        normalize(shift)
+
+
+def test_normalize_term_budget():
+    assert len(normalize(u(), 16).terms) == 1 << 16
+    with pytest.raises(CapacityError):
+        normalize(u(), 17)
+    with pytest.raises(CapacityError):
+        normalize(parse_element("P[1] + S[2] U^3 S*[2]"), 18)
