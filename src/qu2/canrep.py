@@ -21,9 +21,9 @@ from .words import Word, is_partition
 
 Zero = None  # absorbing image of a basis vector
 
-# semantic_eq refuses to probe more points than this (beta words of up to
-# 16 letters)
-_MAX_PROBES = 3 << 16
+# semantic_eq refuses to probe more residue classes than this (beta words of
+# up to 16 letters)
+_MAX_PROBES = 1 << 16
 
 
 class BasisVector(NamedTuple):
@@ -80,20 +80,25 @@ def _image_map(e: Element, n: int) -> Dict[int, object]:
 def semantic_eq(e1: Element, e2: Element) -> bool:
     """Pointwise equality check on l^2(Z).
 
-    At depth L every monomial acts on a single residue class mod 2^L by an
-    affine map, and distinct affine maps agree at most once, so probing
-    three spread-out points per class decides equality.  That is 3 * 2^L
-    probes; more than _MAX_PROBES is a CapacityError.
+    At depth L, on the residue class n = r + q * 2^L (0 <= r < 2^L) every
+    monomial that acts there maps q |-> s*q + c, with slope s >= 1 and c
+    its image of e_r.  Two distinct such maps meet at most once, at
+    |q| <= |c - c'|, so at q = 2 * max|c| + 1 all the maps of both elements
+    take distinct values, and one probe there decides the class.  That is
+    2^L probes; more than _MAX_PROBES is a CapacityError.
     """
     depth = max(e1.depth(), e2.depth())
     span = 1 << depth
-    if 3 * span > _MAX_PROBES:
-        raise CapacityError(f"depth {depth} needs {3 * span} probes; "
+    if span > _MAX_PROBES:
+        raise CapacityError(f"depth {depth} needs {span} probes; "
                             f"the limit is {_MAX_PROBES}")
+    monos = [*e1.terms, *e2.terms]
     for r in range(span):
-        for n in (r - span, r, r + span):
-            if _image_map(e1, n) != _image_map(e2, n):
-                return False
+        reach = max((abs(c) for c in (mono_image(m, r) for m in monos)
+                     if c is not None), default=0)
+        n = r + (2 * reach + 1) * span
+        if _image_map(e1, n) != _image_map(e2, n):
+            return False
     return True
 
 

@@ -103,10 +103,6 @@ class PermUnitary(NamedTuple):
         return Element({Monomial(words[self.perm[i]], 0, words[i]): 1
                         for i in range(len(words))})
 
-    def word_map(self) -> Dict[Word, Word]:
-        words = all_words(self.level)
-        return {words[i]: words[self.perm[i]] for i in range(len(words))}
-
     def cycles(self) -> str:
         return perm_to_cycles(self.perm)
 

@@ -34,19 +34,6 @@ def u_pow(k: int) -> Monomial:
     return Monomial((), k, ())
 
 
-def s(w: Word) -> Monomial:
-    return Monomial(w, 0, ())
-
-
-def s_star(w: Word) -> Monomial:
-    return Monomial((), 0, w)
-
-
-def proj(w: Word) -> Monomial:
-    """Range projection P_w = S_w S_w*."""
-    return Monomial(w, 0, w)
-
-
 def push_u_through(k: int, a: Word) -> Tuple[Word, int]:
     """Solve U^k S_a = S_a2 U^q with |a2| = |a| and 0 <= t(a2) < 2^|a|.
 

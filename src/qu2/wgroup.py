@@ -18,40 +18,58 @@ from typing import Dict, List, Optional, Tuple
 
 from .element import Element, mul, normalize
 from .errors import DomainError, ParseError
-from .monomial import Monomial
+from .monomial import Monomial, expand_right
 from .words import Word
 
 Tree = object  # 0 for a leaf, (Tree, Tree) for an interior node
 
 LEAF = 0
 
+# diagram JSON nested deeper than this is refused: the tree walks below and
+# the JSON codec recurse once per level
+_MAX_TREE_DEPTH = 512
+
 
 def leaves(tree: Tree) -> List[Word]:
     """Leaf words in left-to-right (lex) order."""
     out: List[Word] = []
-
-    def walk(node, path):
+    stack = [(tree, ())]
+    while stack:
+        node, path = stack.pop()
         if node == LEAF:
             out.append(path)
         else:
-            left, right = node
-            walk(left, path + (1,))
-            walk(right, path + (2,))
-
-    walk(tree, ())
+            stack.append((node[1], path + (2,)))
+            stack.append((node[0], path + (1,)))
     return out
 
 
+def _carets(words) -> List[Word]:
+    """The proper prefixes of the words (the interior nodes of their tree),
+    deepest first."""
+    carets = set()
+    for w in words:
+        for i in range(len(w) - 1, -1, -1):
+            if w[:i] in carets:
+                break
+            carets.add(w[:i])
+    return sorted(carets, key=len, reverse=True)
+
+
 def tree_from_words(words) -> Tree:
-    """Rebuild the unique binary tree whose leaf set is the given partition."""
-    words = sorted(words)
-    if words == [()]:
-        return LEAF
-    ones = [w[1:] for w in words if w and w[0] == 1]
-    twos = [w[1:] for w in words if w and w[0] == 2]
-    if not ones or not twos or len(ones) + len(twos) != len(words):
+    """Rebuild the unique binary tree whose leaf set is the given partition.
+
+    Distinct words, none a prefix of another, span a tree whose interior
+    nodes are their proper prefixes; it is a full binary tree exactly when
+    it has one leaf more than interior nodes."""
+    nodes = dict.fromkeys(words, LEAF)
+    carets = _carets(nodes)
+    if len(nodes) != len(words) or len(nodes) != len(carets) + 1 \
+            or not nodes.keys().isdisjoint(carets):
         raise DomainError("leaf words do not form a partition")
-    return (tree_from_words(ones), tree_from_words(twos))
+    for w in carets:
+        nodes[w] = (nodes.pop(w + (1,)), nodes.pop(w + (2,)))
+    return nodes[()]
 
 
 def tree_to_obj(tree: Tree):
@@ -60,11 +78,13 @@ def tree_to_obj(tree: Tree):
     return [tree_to_obj(tree[0]), tree_to_obj(tree[1])]
 
 
-def tree_from_obj(obj) -> Tree:
+def tree_from_obj(obj, depth: int = 0) -> Tree:
     if obj == 0:
         return LEAF
+    if depth == _MAX_TREE_DEPTH:
+        raise ParseError(f"tree nested deeper than {_MAX_TREE_DEPTH} levels")
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return (tree_from_obj(obj[0]), tree_from_obj(obj[1]))
+        return (tree_from_obj(obj[0], depth + 1), tree_from_obj(obj[1], depth + 1))
     raise ParseError(f"bad tree node {obj!r}")
 
 
@@ -92,33 +112,40 @@ def identity_diagram() -> Diagram:
     return Diagram(LEAF, LEAF, (0,), (0,))
 
 
-def to_element(d: Diagram) -> Element:
-    plus = leaves(d.t_plus)
+# term maps -------------------------------------------------------------------
+
+# {alpha leaf: (charge, beta leaf)}, one entry per leaf of T+
+Terms = Dict[Word, Tuple[int, Word]]
+
+
+def _terms(d: Diagram) -> Terms:
     minus = leaves(d.t_minus)
-    return Element({Monomial(plus[p], d.v[p], minus[d.tau[p]]): 1
-                    for p in range(len(plus))})
+    return {a: (k, minus[q]) for a, k, q in zip(leaves(d.t_plus), d.v, d.tau)}
 
 
-def _terms_to_diagram(terms) -> Optional[Diagram]:
-    if any(c != 1 for c in terms.values()):
-        return None
-    alphas = sorted(m.alpha for m in terms)
-    betas = sorted(m.beta for m in terms)
+def _diagram(terms: Terms) -> Diagram:
+    """The diagram of a term map; DomainError unless its alpha words and its
+    beta words each form a partition without repeats."""
+    alphas = sorted(terms)
+    betas = sorted(b for _k, b in terms.values())
+    t_plus, t_minus = tree_from_words(alphas), tree_from_words(betas)
+    b_index = {w: q for q, w in enumerate(betas)}
+    return Diagram(t_plus, t_minus, tuple(b_index[terms[a][1]] for a in alphas),
+                   tuple(terms[a][0] for a in alphas))
+
+
+def to_element(d: Diagram) -> Element:
+    return Element({Monomial(a, k, b): 1 for a, (k, b) in _terms(d).items()})
+
+
+def _element_diagram(e: Element) -> Optional[Diagram]:
+    terms = {m.alpha: (m.k, m.beta) for m, c in e.terms.items() if c == 1}
+    if len(terms) != len(e.terms):
+        return None  # a coefficient other than 1, or a repeated alpha word
     try:
-        t_plus = tree_from_words(alphas)
-        t_minus = tree_from_words(betas)
+        return _diagram(terms)
     except DomainError:
         return None
-    if leaves(t_plus) != alphas or leaves(t_minus) != betas:
-        return None  # repeated words
-    a_index = {w: p for p, w in enumerate(alphas)}
-    b_index = {w: q for q, w in enumerate(betas)}
-    tau = [0] * len(alphas)
-    v = [0] * len(alphas)
-    for (a, k, b) in terms:
-        tau[a_index[a]] = b_index[b]
-        v[a_index[a]] = k
-    return Diagram(t_plus, t_minus, tuple(tau), tuple(v))
 
 
 def from_element(e: Element) -> Diagram:
@@ -128,9 +155,9 @@ def from_element(e: Element) -> Diagram:
     partition word families on both sides; otherwise the canonical form is
     tried.  Anything else is not a W element.
     """
-    d = _terms_to_diagram(e.terms)
+    d = _element_diagram(e)
     if d is None:
-        d = _terms_to_diagram(normalize(e).terms)
+        d = _element_diagram(normalize(e))
     if d is None:
         raise DomainError("element is not a charge-decorated tree-pair unitary")
     return d
@@ -138,68 +165,26 @@ def from_element(e: Element) -> Diagram:
 
 # reduction ------------------------------------------------------------------
 
-def _find_moves(terms: Dict[Word, Tuple[int, Word]]) -> List[Word]:
-    """Alpha-side caret roots w where the sibling pair merges into one term.
+def reduce(d: Diagram) -> Diagram:
+    """The reduced form: merge sibling leaves wherever they undo one
+    charge-parity split (expand_right), in one pass over the carets of T+.
 
-    terms maps alpha -> (charge, beta).  The two patterns are the inverses
-    of the charge-parity splitting:
-      even: (w1, j, x1), (w2, j, x2)   -> (w, 2j, x)
-      odd:  (w1, j, x2), (w2, j+1, x1) -> (w, 2j+1, x)
+    A merge at caret w reads only the terms at w1 and w2, which change only
+    through merges at w1 and w2; visiting the carets deepest first settles
+    both before w, so no move is left after the pass.  Reduced forms are
+    unique, so this is the result of any order of moves.
     """
-    moves = []
-    for a in terms:
-        if not a or a[-1] != 1:
+    terms = _terms(d)
+    for w in _carets(terms):
+        w1, w2 = w + (1,), w + (2,)
+        if w1 not in terms or w2 not in terms:
             continue
-        w = a[:-1]
-        sib = w + (2,)
-        if sib not in terms:
-            continue
-        j1, b1 = terms[a]
-        j2, b2 = terms[sib]
-        if not b1 or not b2 or b1[:-1] != b2[:-1]:
-            continue
-        if j1 == j2 and b1[-1] == 1 and b2[-1] == 2:
-            moves.append(w)
-        elif j2 == j1 + 1 and b1[-1] == 2 and b2[-1] == 1:
-            moves.append(w)
-    return moves
-
-
-def _apply_move(terms: Dict[Word, Tuple[int, Word]], w: Word) -> None:
-    j1, b1 = terms.pop(w + (1,))
-    j2, b2 = terms.pop(w + (2,))
-    x = b1[:-1]
-    terms[w] = (2 * j1, x) if j1 == j2 else (2 * j1 + 1, x)
-
-
-def _reduce_terms(terms, pick) -> Dict[Word, Tuple[int, Word]]:
-    terms = dict(terms)
-    while True:
-        moves = _find_moves(terms)
-        if not moves:
-            return terms
-        _apply_move(terms, pick(moves))
-
-
-def reduce(d: Diagram, pick=None) -> Diagram:
-    """Merge sibling leaf pairs until no reduction move applies.
-
-    Moves are applied deepest-first (ties broken lexicographically) by
-    default; pass pick to choose among available moves differently, e.g.
-    for move-order independence testing.
-    """
-    if pick is None:
-        pick = lambda moves: min(moves, key=lambda w: (-len(w), w))
-    plus = leaves(d.t_plus)
-    minus = leaves(d.t_minus)
-    terms = {plus[p]: (d.v[p], minus[d.tau[p]]) for p in range(len(plus))}
-    reduced = _reduce_terms(terms, pick)
-    alphas = sorted(reduced)
-    betas = sorted(b for _j, b in reduced.values())
-    b_index = {w: q for q, w in enumerate(betas)}
-    tau = tuple(b_index[reduced[a][1]] for a in alphas)
-    v = tuple(reduced[a][0] for a in alphas)
-    return Diagram(tree_from_words(alphas), tree_from_words(betas), tau, v)
+        (j1, b1), (j2, b2) = terms[w1], terms[w2]
+        parent = Monomial(w, j1 + j2, b1[:-1])
+        if expand_right(parent) == (Monomial(w1, j1, b1), Monomial(w2, j2, b2)):
+            del terms[w1], terms[w2]
+            terms[w] = (parent.k, parent.beta)
+    return _diagram(terms)
 
 
 # group structure -------------------------------------------------------------
@@ -237,6 +222,8 @@ def diagram_from_json(text: str) -> Diagram:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", exc.pos)
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deep")
     try:
         t_plus, t_minus = tree_from_obj(obj["tplus"]), tree_from_obj(obj["tminus"])
         tau = tuple(int(x) for x in obj["tau"])

@@ -24,6 +24,7 @@ from qu2.element import (
     one,
     parse_element,
     u,
+    zero,
 )
 from qu2.monomial import Monomial, parse_mono
 
@@ -59,6 +60,27 @@ def test_semantic_eq_examples():
     assert semantic_eq(u(2), parse_element("S[1] U S*[1] + S[2] U S*[2]"))
     assert not semantic_eq(u(), adjoint_el(u()))
     assert semantic_eq(mul(F, F), one())
+
+
+def test_semantic_eq_sees_past_colliding_images():
+    # a nonzero element whose terms' images cancel at the points
+    # r - 8, r and r + 8 of every residue class r mod 8
+    d = parse_element(
+        "-1*U^-3 + -1*U^-2 + -1*U^-1 + -2 + -1*U + -1*U^2 + -1*U^3"
+        " + S[1] U^-2 + 2*S[1] U^-1 + 2*S[1] + S[1] U + -1*S[11] U^-1"
+        " + -1*S[12] + S[2] U^-2 + 2*S[2] U^-1 + 2*S[2] + 2*S[2] U"
+        " + S[2] U^2 + -1*S[21] U^-1 + -1*S[21] + -1*S[22] U^-1"
+        " + -1*S[22] + -1*S[22] U + S[222]")
+    assert apply_basis(d, 5) != []
+    assert not eq(d, zero())
+    assert not semantic_eq(d, zero())
+    assert not semantic_eq(zero(), d)
+    assert semantic_eq(d + u(), u() + d)
+    # maps q -> s*q + c with distinct s meet at |q| <= |c - c'|:
+    # n -> n and n -> 2n - 2 meet at n = 2 = max|c|,
+    # n -> n + 2 and n -> 2n - 2 at n = 4 = 2 * max|c|
+    assert not semantic_eq(one(), parse_element("S[2] U^-1"))
+    assert not semantic_eq(u(2), parse_element("S[2] U^-1"))
 
 
 @settings(deadline=None, max_examples=60)

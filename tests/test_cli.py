@@ -358,6 +358,32 @@ def test_reduce_bad_json_exit_codes(capsys):
     assert code == 1 and one_line_error(err) and "permutation" in err
 
 
+def _caterpillar_json(depth):
+    # written out by hand: json.dumps would itself recurse once per level
+    tree = "[" * depth + "0" + ", 0]" * depth
+    return (f'{{"tplus": {tree}, "tminus": {tree}, '
+            f'"tau": {list(range(depth + 1))}, "v": {[0] * (depth + 1)}}}')
+
+
+@pytest.mark.parametrize("verb", ["reduce", "charge", "render"])
+def test_deep_diagram_json_is_parse_error(capsys, verb):
+    # 990 levels overflow the JSON decoder, 600 pass it but not the tree cap
+    for depth in (990, 600):
+        code, out, err = run(capsys, verb, _caterpillar_json(depth))
+        assert (code, out) == (2, ""), (verb, depth)
+        assert one_line_error(err) and "parse error" in err and "deep" in err
+
+
+def test_diagram_json_at_depth_cap(capsys):
+    text = _caterpillar_json(512)
+    code, out, _ = run(capsys, "reduce", text)
+    assert (code, out) == (0, '{"tplus": 0, "tminus": 0, "tau": [0], "v": [0]}\n')
+    code, out, _ = run(capsys, "charge", text)
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run(capsys, "render", text)
+    assert code == 0 and out.count("dashed") == 513
+
+
 # ---------------------------------------------------------------- suites
 
 

@@ -12,10 +12,7 @@ from qu2.monomial import (
     mono_mul,
     mono_str,
     parse_mono,
-    proj,
     push_u_through,
-    s,
-    s_star,
     u_pow,
 )
 
@@ -26,9 +23,6 @@ indices = st.integers(-300, 300)
 
 def test_constructors():
     assert u_pow(3) == Monomial((), 3, ())
-    assert s((1, 2)) == Monomial((1, 2), 0, ())
-    assert s_star((2,)) == Monomial((), 0, (2,))
-    assert proj((1,)) == Monomial((1,), 0, (1,))
     assert ONE == Monomial((), 0, ())
 
 
@@ -46,20 +40,22 @@ def test_push_u_through():
 def test_push_u_through_is_commutation(k, w, n):
     # both sides of U^k S_w = S_w2 U^q as maps on basis indices
     w2, q = push_u_through(k, w)
-    lhs = mono_image(u_pow(k), mono_image(s(w), n))
+    lhs = mono_image(u_pow(k), mono_image(Monomial(w, 0, ()), n))
     rhs = mono_image(Monomial(w2, q, ()), n)
     assert lhs == rhs
 
 
 def test_mono_mul_branches():
     # beta against alpha: equal words cancel
-    assert mono_mul(s((1,)), s_star((1,))) == proj((1,))
+    assert mono_mul(Monomial((1,), 0, ()), Monomial((), 0, (1,))) == \
+        Monomial((1,), 0, (1,))
     # S_2* S_1 = 0
-    assert mono_mul(s_star((2,)), s((1,))) is None
+    assert mono_mul(Monomial((), 0, (2,)), Monomial((1,), 0, ())) is None
     # longer beta survives with a real tail
-    assert mono_mul(Monomial((), 0, (1, 2)), s((1,))) == Monomial((), 0, (2,))
+    assert mono_mul(Monomial((), 0, (1, 2)), Monomial((1,), 0, ())) == \
+        Monomial((), 0, (2,))
     # charge pushes through the surviving alpha tail: U S_2 = S_1
-    assert mono_mul(u_pow(1), s((2,))) == Monomial((1,), 0, ())
+    assert mono_mul(u_pow(1), Monomial((2,), 0, ())) == Monomial((1,), 0, ())
 
 
 @given(monos, monos, indices)
@@ -101,7 +97,7 @@ def test_expand_right_shape(m):
 
 def test_expand_right_examples():
     # even charge keeps matching letters; odd charge crosses them
-    assert expand_right(ONE) == (proj((1,)), proj((2,)))
+    assert expand_right(ONE) == (Monomial((1,), 0, (1,)), Monomial((2,), 0, (2,)))
     assert expand_right(u_pow(1)) == (
         Monomial((1,), 0, (2,)),
         Monomial((2,), 1, (1,)),
@@ -111,7 +107,7 @@ def test_expand_right_examples():
 def test_mono_apply():
     assert mono_apply(u_pow(1), 5) == 6
     assert mono_apply(parse_mono("S[2] U S*[1]"), 3) == 4
-    assert mono_apply(s_star((1,)), 2) is None
+    assert mono_apply(Monomial((), 0, (1,)), 2) is None
 
 
 def test_str_round_trip():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qu2.errors import DomainError, ParseError
 from qu2.element import (
+    Element,
     adjoint_el,
     eq,
     element_str,
@@ -16,6 +17,7 @@ from qu2.element import (
     total_charge,
     u,
 )
+from qu2.monomial import Monomial, expand_right
 from qu2.wgroup import (
     Diagram,
     charge,
@@ -30,6 +32,7 @@ from qu2.wgroup import (
     to_element,
     tree_from_words,
 )
+from test_cli import time_limit
 
 F = parse_element("P[11] + S[12] S*[21] + S[21] S*[12] + P[22]")
 
@@ -54,6 +57,14 @@ def diagrams(draw):
     return Diagram(t_plus, t_minus, tau, v)
 
 
+def re_expand(d, draw):
+    """d with 1 to 8 of its leaves split again by expand_right."""
+    terms = sorted(to_element(d).terms)
+    for _ in range(draw(st.integers(1, 8))):
+        terms.extend(expand_right(terms.pop(draw(st.integers(0, len(terms) - 1)))))
+    return from_element(Element(dict.fromkeys(terms, 1)))
+
+
 def test_to_element_examples():
     assert eq(to_element(Diagram(0, 0, (0,), (4,))), u(4))
     assert element_str(to_element(D3)) == \
@@ -67,8 +78,11 @@ def test_from_element_examples():
     assert from_element(F) == Diagram(
         ((0, 0), (0, 0)), ((0, 0), (0, 0)), (0, 2, 1, 3), (0, 0, 0, 0))
     assert from_element(flip_flop()) == Diagram((0, 0), (0, 0), (1, 0), (0, 0))
-    with pytest.raises(DomainError):
-        from_element(parse_element("S[2]"))
+    # not unitary; repeated alpha words; repeated beta words
+    for text in ("S[2]", "S[1] S*[1] + S[1] S*[2]", "S[1] S*[1] + S[2] S*[1]",
+                 "S[1] S*[1] + S[2] U S*[2] + S[2] S*[2]"):
+        with pytest.raises(DomainError):
+            from_element(parse_element(text))
 
 
 def test_diagram_validation():
@@ -84,6 +98,11 @@ def test_tree_from_words():
     assert tree_from_words([(1, 1), (1, 2), (2,)]) == ((0, 0), 0)
     with pytest.raises(DomainError):
         tree_from_words([(1,), (2, 1)])
+    # repeated words, a word that is a prefix of another, no words at all
+    for words in ([(1,), (1,), (2,)], [(1,), (1, 2), (2,)], [(), (1,), (2,)], []):
+        with pytest.raises(DomainError):
+            tree_from_words(words)
+    assert tree_from_words([()]) == 0
 
 
 def test_reduce_examples():
@@ -108,11 +127,52 @@ def test_reduce_idempotent(d):
     assert reduce(r) == r
 
 
-@settings(deadline=None, max_examples=40)
-@given(diagrams(), st.integers(0, 2 ** 32 - 1))
-def test_reduce_confluent_under_random_move_order(d, seed):
+def _moves(terms):
+    """Carets w of T+ whose leaves w1, w2 undo one charge-parity split:
+      even: (w1, j, x1), (w2, j, x2)   -> (w, 2j, x)
+      odd:  (w1, j, x2), (w2, j+1, x1) -> (w, 2j+1, x)"""
+    moves = []
+    for a in terms:
+        if not a or a[-1] != 1 or a[:-1] + (2,) not in terms:
+            continue
+        (j1, b1), (j2, b2) = terms[a], terms[a[:-1] + (2,)]
+        if not b1 or not b2 or b1[:-1] != b2[:-1]:
+            continue
+        if (j1 == j2 and (b1[-1], b2[-1]) == (1, 2)) or \
+                (j2 == j1 + 1 and (b1[-1], b2[-1]) == (2, 1)):
+            moves.append(a[:-1])
+    return moves
+
+
+def reduce_by_moves(d, rng):
+    """Reference reduction: rescan for moves after every merge, apply a
+    random one, stop when none is left."""
+    terms = {m.alpha: (m.k, m.beta) for m in to_element(d).terms}
+    while moves := _moves(terms):
+        w = rng.choice(moves)
+        (j1, b1), (j2, _b2) = terms.pop(w + (1,)), terms.pop(w + (2,))
+        terms[w] = (j1 + j2, b1[:-1])
+    return from_element(Element({Monomial(a, k, b): 1
+                                 for a, (k, b) in terms.items()}))
+
+
+@settings(deadline=None, max_examples=60)
+@given(diagrams(), st.data(), st.integers(0, 2 ** 32 - 1))
+def test_reduce_confluent_under_random_move_order(d, data, seed):
     rng = random.Random(seed)
-    assert reduce(d, pick=rng.choice) == reduce(d)
+    e = re_expand(d, data.draw)
+    assert reduce(d) == reduce_by_moves(d, rng)
+    assert reduce(e) == reduce_by_moves(e, rng)
+    # reduced forms are unique, so splitting leaves again changes nothing
+    assert reduce(e) == reduce(d)
+
+
+def test_reduce_large_expansion_is_linear():
+    # U^5 written out over all 4096 words of length 12 folds back in one pass
+    d = from_element(normalize(u(5), 12))
+    assert d.leaf_count() == 4096
+    with time_limit(3, "reduce of a 4096-leaf diagram"):
+        assert reduce(d) == Diagram(0, 0, (0,), (5,))
 
 
 @settings(deadline=None, max_examples=40)
