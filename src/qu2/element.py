@@ -3,16 +3,16 @@
 An Element is a collected map Monomial -> nonzero coefficient (int or
 Fraction).  All arithmetic is exact.
 
-Equality is decided on the common refinement of the beta words: a term is
-expanded (expand_right) only while its beta is a proper prefix of some beta
-present in either operand.  The betas that remain form a prefix-free set,
-and over a prefix-free set of betas distinct triples (alpha, k, beta) are
-distinct affine maps on the residue classes of their betas in l^2(Z), hence
-linearly independent; so two elements are equal iff their refined term maps
-coincide.  Expanding a refined form further to one common depth never
-merges two terms, so unitarity, membership and total charge read the
-refined form too.  The uniform-depth canonical form (normalize) is kept for
-everything that prints a normal form.
+Structural code reads the refined form: a term is expanded (expand_right)
+only while its beta is a proper prefix of some beta present in the elements
+at hand.  The betas left are prefix-free, and over a prefix-free set of
+betas distinct triples (alpha, k, beta) are distinct affine maps on the
+residue classes of their betas in l^2(Z), hence linearly independent; so
+two elements are equal iff their refined term maps coincide.  Expanding a
+refined form further never merges two terms, so unitarity, membership,
+total charge, the Putnam form, the bd * v factorization and diagrams read
+it too, and a 64-letter beta costs its length, not 2^64 terms.  The
+uniform-depth form (normalize) is only for a caller that asks for a depth.
 
 `Element.__eq__` is structural: it compares the stored terms.  Operator
 equality is `eq`, which holds across depths (`eq(u(), normalize(u(), 3))`
@@ -254,15 +254,26 @@ def phi(e: Element) -> Element:
                                    for letter in (1, 2))))
 
 
+def _unitary_terms(e: Element, what: str) -> Dict[Monomial, Coeff]:
+    """The refined term map of e; DomainError naming `what` unless it is a
+    coefficient-1 sum over a pair of complete prefix-free families (alphas
+    and betas each a partition)."""
+    (f,) = _refine(e)
+    if not (f and all(c == 1 for c in f.values())
+            and is_partition(m.alpha for m in f)
+            and is_partition(m.beta for m in f)):
+        raise DomainError(f"{what} requires a unitary element")
+    return f
+
+
 def is_unitary(e: Element) -> bool:
     """True iff the refined form is a coefficient-1 sum over a pair of
-    complete prefix-free families (alphas and betas each a partition)."""
-    (f,) = _refine(e)
-    if not f:
+    partitions."""
+    try:
+        _unitary_terms(e, "is_unitary")
+    except DomainError:
         return False
-    if any(c != 1 for c in f.values()):
-        return False
-    return is_partition(m.alpha for m in f) and is_partition(m.beta for m in f)
+    return True
 
 
 class Membership(dict):
@@ -291,34 +302,27 @@ def total_charge(e: Element) -> int:
     """Sum of the charges of a unitary's refined form; the abelianized
     class of the element (invariant under re-expansion, additive under
     multiplication)."""
-    if not is_unitary(e):
-        raise DomainError("total_charge requires a unitary element")
-    (f,) = _refine(e)
-    return sum(m.k for m in f)
+    return sum(m.k for m in _unitary_terms(e, "total_charge"))
 
 
 def putnam_form(e: Element) -> List[Tuple[Element, int]]:
     """Rewrite a gauge-invariant unitary as sum_j p_j U^{n_j}.
 
-    Each canonical term S_a U^k S_b* at common word length m contributes the
-    projection P_a with exponent t(a) - t(b) + 2^m * k; terms sharing an
-    exponent pool their projections.  Returns (projection, exponent) pairs
-    sorted by exponent.
+    Each refined term S_a U^k S_b* (|a| = |b| for a gauge-invariant
+    element) contributes the projection P_a with exponent
+    t(a) - t(b) + 2^|a| * k; both splits of expand_right keep |a| - |b| and
+    this exponent, so it is that of every expansion of the term.  Terms
+    sharing an exponent pool their projections.  Returns (projection,
+    exponent) pairs sorted by exponent.
     """
-    if not is_unitary(e):
-        raise DomainError("putnam_form requires a unitary element")
-    f = normalize(e)
-    m_len = f.depth()
-    if any(len(mo.alpha) != m_len for mo in f.terms):
-        raise DomainError("putnam_form requires equal-length word pairs")
+    f = _unitary_terms(e, "putnam_form")
     groups: Dict[int, List[Word]] = {}
-    for (a, k, b) in f.terms:
-        n = offset(a) - offset(b) + (k << m_len)
-        groups.setdefault(n, []).append(a)
-    out = []
-    for n in sorted(groups):
-        p = Element({Monomial(a, 0, a): 1 for a in groups[n]})
-        out.append((p, n))
+    for (a, k, b) in f:
+        if len(a) != len(b):
+            raise DomainError("putnam_form requires equal-length word pairs")
+        groups.setdefault(offset(a) - offset(b) + (k << len(a)), []).append(a)
+    out = [(Element({Monomial(a, 0, a): 1 for a in groups[n]}), n)
+           for n in sorted(groups)]
     # both partition-of-unity conditions hold for any gauge-invariant unitary
     ident = Element({ONE: 1})
     assert eq(Element.from_terms((1, m) for p, _n in out for m in p.terms), ident)
@@ -330,16 +334,15 @@ def putnam_form(e: Element) -> List[Tuple[Element, int]]:
 
 
 def bd_v_factor(e: Element) -> Tuple[Element, Element]:
-    """Factor a unitary as (sum_i S_ai U^ki S_ai*) * (sum_i S_ai S_bi*).
+    """Factor a unitary as (sum_i S_ai U^ki S_ai*) * (sum_i S_ai S_bi*)
+    over its refined terms S_ai U^ki S_bi*.
 
     The left factor is gauge-invariant and diagonal-compatible; the right
     factor has charge zero.  Their product recovers the input exactly.
     """
-    if not is_unitary(e):
-        raise DomainError("bd_v_factor requires a unitary element")
-    f = normalize(e)
-    bd = Element({Monomial(a, k, a): 1 for (a, k, _b) in f.terms})
-    v = Element({Monomial(a, 0, b): 1 for (a, _k, b) in f.terms})
+    f = _unitary_terms(e, "bd_v_factor")
+    bd = Element({Monomial(a, k, a): 1 for (a, k, _b) in f})
+    v = Element({Monomial(a, 0, b): 1 for (a, _k, b) in f})
     return bd, v
 
 

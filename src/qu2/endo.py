@@ -22,8 +22,8 @@ import re
 from math import factorial
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .element import (Element, adjoint_el, eq, flip_flop, is_unitary, mul,
-                      normalize, one, parse_element, phi, s, u)
+from .element import (Element, _refine, adjoint_el, eq, flip_flop, is_unitary,
+                      mul, normalize, one, parse_element, phi, s, u)
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import Monomial
 from .words import Word, all_words, flip, lex_index
@@ -431,11 +431,12 @@ def _ext1_candidates(k: int, template: Element) -> Iterator[Perm]:
 
 def _forced_images(k: int, template: Element) -> Dict[int, int]:
     """{a: b} over lex indices of length-k words with Utilde S_a = S_b.  A
-    term of the normal form proposes b; eq decides."""
+    term of the refined form proposes b; eq decides."""
     forced = {}
     for a, word in enumerate(all_words(k)):
         image = mul(template, s(word))
-        m = next(iter(normalize(image).terms), None)
+        (f,) = _refine(image)
+        m = next(iter(f), None)
         if m is None or len(m.alpha) - len(m.beta) != k:
             continue
         b = m.alpha[:k]

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .element import Element, mul, normalize
+from .element import Element, _unitary_terms, mul
 from .errors import DomainError, ParseError
 from .monomial import Monomial, expand_right
 from .words import Word
@@ -42,6 +42,18 @@ def leaves(tree: Tree) -> List[Word]:
             stack.append((node[1], path + (2,)))
             stack.append((node[0], path + (1,)))
     return out
+
+
+def _leaf_count(tree: Tree) -> int:
+    """The number of leaves, counted with a stack and no words built."""
+    n, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        if node == LEAF:
+            n += 1
+        else:
+            stack.extend(node)
+    return n
 
 
 def _carets(words) -> List[Word]:
@@ -96,8 +108,8 @@ class Diagram:
     v: Tuple[int, ...]    # charge on leaf p of t_plus
 
     def __post_init__(self):
-        n = len(leaves(self.t_plus))
-        if len(leaves(self.t_minus)) != n:
+        n = _leaf_count(self.t_plus)
+        if _leaf_count(self.t_minus) != n:
             raise DomainError("leaf counts differ")
         if sorted(self.tau) != list(range(n)):
             raise DomainError("tau is not a permutation of the leaves")
@@ -138,29 +150,13 @@ def to_element(d: Diagram) -> Element:
     return Element({Monomial(a, k, b): 1 for a, (k, b) in _terms(d).items()})
 
 
-def _element_diagram(e: Element) -> Optional[Diagram]:
-    terms = {m.alpha: (m.k, m.beta) for m, c in e.terms.items() if c == 1}
-    if len(terms) != len(e.terms):
-        return None  # a coefficient other than 1, or a repeated alpha word
-    try:
-        return _diagram(terms)
-    except DomainError:
-        return None
-
-
 def from_element(e: Element) -> Diagram:
-    """Read a diagram off a unitary sum of monomials.
-
-    The stored term set is used as-is when it already has coefficient 1 and
-    partition word families on both sides; otherwise the canonical form is
-    tried.  Anything else is not a W element.
-    """
-    d = _element_diagram(e)
-    if d is None:
-        d = _element_diagram(normalize(e))
-    if d is None:
-        raise DomainError("element is not a charge-decorated tree-pair unitary")
-    return d
+    """Read the diagram off a unitary's refined form (element._refine),
+    which has coefficient 1 and partition word families on both sides; a
+    stored form that is already a tree pair is its own refined form.
+    Anything else is not a W element."""
+    return _diagram({m.alpha: (m.k, m.beta)
+                     for m in _unitary_terms(e, "a diagram")})
 
 
 # reduction ------------------------------------------------------------------

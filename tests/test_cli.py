@@ -339,12 +339,49 @@ def test_deep_word_predicates(capsys):
 def test_uniform_depth_past_capacity_is_refused(capsys):
     # these print the form with every beta at one depth: 2^40 terms and more
     for argv in (("normalize", "U", "--depth", "40"),
-                 ("normalize", "U", "--depth", "1000000000"),
-                 ("putnam", f"S[{DEEP}] U S*[{DEEP}] + 1 - P[{DEEP}]")):
+                 ("normalize", "U", "--depth", "1000000000")):
         with time_limit(5, " ".join(argv)):
             code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert one_line_error(err) and "terms" in err, (argv, err)
+
+
+def test_deep_word_structure(capsys):
+    # putnam, factor, diagram and reduce read the refined form: the shift
+    # along a 64-letter word has 65 terms there, one per leaf of the
+    # caterpillar along w, though its uniform form has 2^64
+    shift = f"S[{DEEP}] U S*[{DEEP}] + 1 - P[{DEEP}]"
+    outs = {}
+    for verb in ("putnam", "factor", "diagram", "reduce"):
+        with time_limit(5, f"{verb} with a 64-letter word"):
+            code, outs[verb], _ = run(capsys, verb, shift)
+        assert code == 0, verb
+    assert outs["putnam"].splitlines()[-1] == f"18446744073709551616\tP[{DEEP}]"
+    bd, v = (line.split("\t")[1].split(" + ")
+             for line in outs["factor"].splitlines())
+    assert len(bd) == len(v) == 65 and f"S[{DEEP}] U S*[{DEEP}]" in bd
+    # by hand: the caterpillar along w, a sibling leaf off each of its 64
+    # letters; the siblings left of w are those of its letters 2
+    tree = 0
+    for letter in reversed(DEEP):
+        tree = [tree, 0] if letter == "1" else [0, tree]
+    left = DEEP.count("2")
+    want = {"tplus": tree, "tminus": tree, "tau": list(range(65)),
+            "v": [0] * left + [1] + [0] * (64 - left)}
+    assert json.loads(outs["reduce"]) == want
+    assert outs["diagram"] == outs["reduce"]
+
+
+def test_structural_verbs_print_refined_words(capsys):
+    # 1 - P[11] is split only towards 11: into P[12] + P[2], not into the
+    # three depth-2 projections
+    shift = "S[11] U S*[11] + 1 - P[11]"
+    assert run(capsys, "putnam", shift)[:2] == (0, "0\tP[12] + P[2]\n4\tP[11]\n")
+    assert run(capsys, "factor", shift)[:2] == (
+        0, "bd\tS[11] U S*[11] + P[12] + P[2]\nv\tP[11] + P[12] + P[2]\n")
+    assert run(capsys, "diagram", shift)[:2] == (
+        0, '{"tplus": [[0, 0], 0], "tminus": [[0, 0], 0], '
+           '"tau": [0, 1, 2], "v": [1, 0, 0]}\n')
 
 
 def test_reduce_bad_json_exit_codes(capsys):

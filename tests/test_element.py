@@ -32,7 +32,7 @@ from qu2.element import (
     zero,
 )
 from qu2.monomial import Monomial, expand_right
-from qu2.wgroup import Diagram, to_element
+from qu2.wgroup import Diagram, from_element, reduce, to_element
 from qu2.words import is_partition
 
 words = st.lists(st.sampled_from((1, 2)), max_size=3).map(tuple)
@@ -394,6 +394,34 @@ def test_unitary_membership_charge_match_uniform_depth():
             if unitary:
                 unitaries += 1
                 assert total_charge(e) == sum(m.k for m in normalize(e).terms)
+    assert unitaries >= 400
+
+
+def test_structural_readers_match_uniform_depth():
+    # putnam_form, bd_v_factor and from_element read the refined form; fed
+    # normalize(e), which refining leaves as it is, they give the
+    # uniform-depth answer
+    rng = random.Random(7)
+    unitaries = 0
+    for _ in range(400):
+        for e in _unitary_candidates(rng):
+            if not is_unitary(e):
+                continue
+            unitaries += 1
+            uniform = normalize(e)
+            assert reduce(from_element(e)) == reduce(from_element(uniform)), e
+            bd, v = bd_v_factor(e)
+            assert eq(bd * v, e), e
+            assert all(m.alpha == m.beta for m in bd.terms), e
+            assert is_unitary(v) and membership(v).in_O2, e
+            # refined and uniform bd differ as operators when a charge is
+            # odd, so each is checked against the uniform form of itself
+            refined_groups = putnam_form(bd)
+            uniform_groups = putnam_form(normalize(bd))
+            assert [n for _p, n in refined_groups] == \
+                [n for _p, n in uniform_groups], e
+            for (p, _n), (q, _n2) in zip(refined_groups, uniform_groups):
+                assert eq(p, q), e
     assert unitaries >= 400
 
 

@@ -15,7 +15,7 @@ from itertools import permutations
 import pytest
 
 from qu2.cli import main
-from qu2.element import is_unitary, normalize, parse_element, u
+from qu2.element import is_unitary, normalize, one, parse_element, proj, u, zero
 from qu2.endo import (
     PermUnitary,
     check_extension,
@@ -25,6 +25,7 @@ from qu2.endo import (
 )
 from qu2.errors import DomainError
 from qu2.wgroup import Diagram, to_element
+from qu2.words import all_words
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -113,6 +114,16 @@ def test_random_level3_templates_match_sweep():
         assert found(3, template) == expected
         hits += bool(expected)
     assert hits >= 1
+
+
+def test_template_with_a_zero_that_cancels_only_when_split():
+    # 1 - (the sum of P[v] over the 4-letter v) is zero once 1 is split,
+    # yet it stays in the stored terms: Utilde S_w then starts with the
+    # stored term S_w, which must not stand in for the image
+    hidden_zero = one() - sum((proj(v) for v in all_words(4)), zero())
+    for power in (2, -2):
+        expected = found(3, u(power))
+        assert expected and found(3, hidden_zero + u(power)) == expected
 
 
 def test_results_come_in_lex_order():
