@@ -250,6 +250,8 @@ def cmd_construct(args):
         def side(mask, sigma):
             if mask is None and sigma is None:
                 return None
+            if mask and not all(b.isdecimal() for b in mask):
+                raise ParseError(f"bad mask {mask!r}: want bits like 01")
             bits = tuple(int(b) for b in mask) if mask else (0,) * h
             perm = parse_cycles(tail, sigma) if sigma else tuple(range(tail))
             return (bits, perm)

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import (Monomial, ONE, adjoint_mono, expand_right, mono_mul,
                        mono_str, u_pow)
-from .words import Word, is_partition, offset, parse_word, word_str
+from .words import Word, carets, is_partition, offset, parse_word, word_str
 
 Coeff = object  # int | Fraction, kept exact throughout
 
@@ -210,15 +210,7 @@ def _refine(*es: Element) -> List[Dict[Monomial, Coeff]]:
     """The collected term maps of the elements on the common refinement of
     all their beta words: each term is expanded while its beta is a proper
     prefix of some beta present, so the betas left are prefix-free."""
-    betas = {m.beta for e in es for m in e.terms}
-    # the trie's inner nodes, one level of parents at a time: a node
-    # already in the set had its parent queued when it went in
-    inner = set()
-    parents = {b[:-1] for b in betas if b}
-    while parents:
-        parents -= inner
-        inner |= parents
-        parents = {p[:-1] for p in parents if p}
+    inner = carets({m.beta for e in es for m in e.terms})
     out = []
     for e in es:
         acc: Dict[Monomial, Coeff] = {}

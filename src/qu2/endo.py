@@ -76,10 +76,11 @@ def parse_cycles(size: int, text: str) -> Perm:
         if end < 0:
             raise ParseError("unbalanced cycle", pos)
         body = text[pos + 1:end].replace(",", " ")
-        if " " in body.strip():
-            idx = [int(t) for t in body.split()]
-        else:
-            idx = [int(ch) for ch in body.strip()]
+        tokens = body.split() if " " in body.strip() else body.strip()
+        try:
+            idx = [int(t) for t in tokens]
+        except ValueError:
+            raise ParseError(f"bad cycle {text[pos:end+1]!r}", pos) from None
         if len(idx) < 2 or len(set(idx)) != len(idx) \
                 or any(i < 1 or i > size for i in idx):
             raise ParseError(f"bad cycle {text[pos:end+1]!r}", pos)
@@ -524,6 +525,11 @@ class ProbeResult(NamedTuple):
         return self.stabilized_at is not None
 
 
+# step k multiplies tower elements of 2^(level + k - 1) terms: level 2 at
+# depth 9 takes 0.7 s on a 2-core VM, and each step costs 4x the one before
+_MAX_PROBE_LEVEL = 10
+
+
 def automorphism_probe(pu: PermUnitary, depth: int = 6) -> ProbeResult:
     """Look for exact stabilization of w_k = u_k* u* u_k with
     u_k = u phi(u) ... phi^{k-1}(u).
@@ -536,14 +542,16 @@ def automorphism_probe(pu: PermUnitary, depth: int = 6) -> ProbeResult:
         raise DomainError("probe needs depth >= 2")
     u_el = pu.element
     u_star = adjoint_el(u_el)
-    u_k = u_el
-    prev_w = None
+    u_k = prev_w = None
     for k in range(1, depth + 1):
+        if pu.level + k - 1 > _MAX_PROBE_LEVEL:
+            raise CapacityError(f"probe step {k} needs level-{pu.level + k - 1} "
+                                f"tower elements; at most {_MAX_PROBE_LEVEL}")
+        u_k = u_el if k == 1 else mul(u_k, _phi_pow(u_el, k - 1))
         w_k = mul(mul(adjoint_el(u_k), u_star), u_k)
         if prev_w is not None and eq(prev_w, w_k):
             return ProbeResult(k - 1, prev_w)
         prev_w = w_k
-        u_k = mul(u_k, _phi_pow(u_el, k))
     return ProbeResult(None, None)
 
 

@@ -17,16 +17,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .element import Element, _unitary_terms, mul
-from .errors import DomainError, ParseError
+from .errors import CapacityError, DomainError, ParseError
 from .monomial import Monomial, expand_right
-from .words import Word
+from .words import Word, carets, is_partition
 
 Tree = object  # 0 for a leaf, (Tree, Tree) for an interior node
 
 LEAF = 0
 
-# diagram JSON nested deeper than this is refused: the tree walks below and
-# the JSON codec recurse once per level
+# trees deeper than this are refused, from diagram JSON and from elements:
+# the tree walks below and the JSON codec recurse once per level
 _MAX_TREE_DEPTH = 512
 
 
@@ -56,38 +56,22 @@ def _leaf_count(tree: Tree) -> int:
     return n
 
 
-def _carets(words) -> List[Word]:
-    """The proper prefixes of the words (the interior nodes of their tree),
-    deepest first."""
-    carets = set()
-    for w in words:
-        for i in range(len(w) - 1, -1, -1):
-            if w[:i] in carets:
-                break
-            carets.add(w[:i])
-    return sorted(carets, key=len, reverse=True)
-
-
-def tree_from_words(words) -> Tree:
-    """Rebuild the unique binary tree whose leaf set is the given partition.
-
-    Distinct words, none a prefix of another, span a tree whose interior
-    nodes are their proper prefixes; it is a full binary tree exactly when
-    it has one leaf more than interior nodes."""
+def _tree(words) -> Tree:
+    """The binary tree whose leaves are the words of a partition: each
+    caret, deepest first, joins its two children."""
     nodes = dict.fromkeys(words, LEAF)
-    carets = _carets(nodes)
-    if len(nodes) != len(words) or len(nodes) != len(carets) + 1 \
-            or not nodes.keys().isdisjoint(carets):
-        raise DomainError("leaf words do not form a partition")
-    for w in carets:
+    for w in sorted(carets(nodes), key=len, reverse=True):
         nodes[w] = (nodes.pop(w + (1,)), nodes.pop(w + (2,)))
     return nodes[()]
 
 
-def tree_to_obj(tree: Tree):
-    if tree == LEAF:
-        return 0
-    return [tree_to_obj(tree[0]), tree_to_obj(tree[1])]
+def tree_from_words(words) -> Tree:
+    """The unique binary tree whose leaf set is the given partition;
+    DomainError unless the words form one (words.is_partition)."""
+    words = list(words)
+    if not is_partition(words):
+        raise DomainError("leaf words do not form a partition")
+    return _tree(words)
 
 
 def tree_from_obj(obj, depth: int = 0) -> Tree:
@@ -136,11 +120,11 @@ def _terms(d: Diagram) -> Terms:
 
 
 def _diagram(terms: Terms) -> Diagram:
-    """The diagram of a term map; DomainError unless its alpha words and its
-    beta words each form a partition without repeats."""
+    """The diagram of a term map whose alpha words and beta words each form
+    a partition; the callers have checked that."""
     alphas = sorted(terms)
     betas = sorted(b for _k, b in terms.values())
-    t_plus, t_minus = tree_from_words(alphas), tree_from_words(betas)
+    t_plus, t_minus = _tree(alphas), _tree(betas)
     b_index = {w: q for q, w in enumerate(betas)}
     return Diagram(t_plus, t_minus, tuple(b_index[terms[a][1]] for a in alphas),
                    tuple(terms[a][0] for a in alphas))
@@ -154,9 +138,12 @@ def from_element(e: Element) -> Diagram:
     """Read the diagram off a unitary's refined form (element._refine),
     which has coefficient 1 and partition word families on both sides; a
     stored form that is already a tree pair is its own refined form.
-    Anything else is not a W element."""
-    return _diagram({m.alpha: (m.k, m.beta)
-                     for m in _unitary_terms(e, "a diagram")})
+    Anything else is not a W element, and a word longer than
+    _MAX_TREE_DEPTH is a CapacityError."""
+    f = _unitary_terms(e, "a diagram")
+    if max(len(w) for m in f for w in (m.alpha, m.beta)) > _MAX_TREE_DEPTH:
+        raise CapacityError(f"the diagram is deeper than {_MAX_TREE_DEPTH} levels")
+    return _diagram({m.alpha: (m.k, m.beta) for m in f})
 
 
 # reduction ------------------------------------------------------------------
@@ -171,7 +158,7 @@ def reduce(d: Diagram) -> Diagram:
     unique, so this is the result of any order of moves.
     """
     terms = _terms(d)
-    for w in _carets(terms):
+    for w in sorted(carets(terms), key=len, reverse=True):
         w1, w2 = w + (1,), w + (2,)
         if w1 not in terms or w2 not in terms:
             continue
@@ -207,8 +194,7 @@ def charge(d: Diagram) -> int:
 # serialization ---------------------------------------------------------------
 
 def diagram_to_json(d: Diagram) -> str:
-    return json.dumps({"tplus": tree_to_obj(d.t_plus),
-                       "tminus": tree_to_obj(d.t_minus),
+    return json.dumps({"tplus": d.t_plus, "tminus": d.t_minus,
                        "tau": list(d.tau), "v": list(d.v)},
                       separators=(", ", ": "))
 

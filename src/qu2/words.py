@@ -8,7 +8,7 @@ digit(1) = 1 and digit(2) = 0.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, Set, Tuple
 
 from .errors import DomainError, ParseError
 
@@ -52,21 +52,32 @@ def is_prefix(u: Word, v: Word) -> bool:
     return len(u) <= len(v) and v[: len(u)] == u
 
 
+def carets(ws: Iterable[Word]) -> Set[Word]:
+    """The proper prefixes of the words: the inner nodes of their trie."""
+    out: Set[Word] = set()
+    for w in ws:
+        while w:
+            w = w[:-1]
+            # a prefix already in the set brought all shorter ones with it
+            if w in out:
+                break
+            out.add(w)
+    return out
+
+
 def is_partition(ws: Iterable[Word]) -> bool:
     """True iff the words form a complete prefix-free family.
 
-    Prefix-free: no word is a prefix of another (duplicates fail, a word
-    prefixing itself).  Complete: sum of 2^-|w| equals 1, checked exactly.
+    The words are distinct, none of them is a caret (a proper prefix of
+    another), and there is one word more than there are carets: a rooted
+    tree has one leaf more than inner nodes exactly when every inner node
+    has two children.
     """
-    words = sorted(ws)
-    if not words:
-        return False
-    for a, b in zip(words, words[1:]):
-        if is_prefix(a, b):
-            return False
-    depth = max(len(w) for w in words)
-    total = sum(1 << (depth - len(w)) for w in words)
-    return total == 1 << depth
+    words = list(ws)
+    leaves = set(words)
+    inner = carets(leaves)
+    return len(words) == len(leaves) == len(inner) + 1 \
+        and leaves.isdisjoint(inner)
 
 
 def all_words(length: int) -> list[Word]:

@@ -218,6 +218,12 @@ def test_probe_verb(capsys):
     assert code == 0
     assert json.loads(out)["stabilized_at"] == 1
 
+    # a fixed point found early answers at a depth past the step budget
+    with time_limit(5, "probe of a transposition at depth 12"):
+        code, out, _ = run(capsys, "probe", "(1 2)", "--level", "1",
+                           "--depth", "12")
+    assert code == 0 and out.startswith("stabilized_at=1\t")
+
 
 # ---------------------------------------------------------------- exit codes
 
@@ -226,6 +232,14 @@ def test_exit_codes(capsys):
     # parse error in an element expression
     code, _, err = run(capsys, "normalize", "S[3]")
     assert code == 2 and "parse error" in err
+    # a cycle index or mask bit that is not a number
+    for argv, token in ((("check-ext", "(1 x)", "--level", "2", "--template",
+                          "U+"), "(1 x)"),
+                        (("construct", "--level", "3", "--template", "M1:1",
+                          "--mask1", "ab"), "'ab'")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert one_line_error(err) and "parse error" in err and token in err
     # brute force past the capacity bound
     code, _, err = run(capsys, "enumerate", "--level", "4", "--template", "U+")
     assert code == 1 and "tractable" in err
@@ -419,6 +433,38 @@ def test_diagram_json_at_depth_cap(capsys):
     assert (code, out) == (0, "0\n")
     code, out, _ = run(capsys, "render", text)
     assert code == 0 and out.count("dashed") == 513
+
+
+def _deep_shift(n):
+    w = "1" * n
+    return f"S[{w}] U S*[{w}] + 1 - P[{w}]"
+
+
+@pytest.mark.parametrize("verb", ["diagram", "render", "reduce"])
+def test_deep_element_diagram_is_capacity_error(capsys, verb):
+    # past the cap that diagram JSON input has, the JSON encoder and
+    # render's layout recurse too deep and reduce could not read it back
+    for n in (600, 1200):
+        with time_limit(5, f"{verb} with a {n}-letter word"):
+            code, out, err = run(capsys, verb, _deep_shift(n))
+        assert (code, out) == (1, ""), (verb, n)
+        assert one_line_error(err) and "deeper than 512" in err, (verb, err)
+
+
+def test_element_diagram_at_depth_cap(capsys):
+    with time_limit(5, "diagram and reduce with a 512-letter word"):
+        code, text, _ = run(capsys, "diagram", _deep_shift(512))
+        assert code == 0
+        code, out, _ = run(capsys, "reduce", text.strip())
+    assert (code, out) == (0, text)
+
+
+def test_probe_past_budget_is_capacity_error(capsys):
+    with time_limit(10, "probe of a level-2 4-cycle at depth 11"):
+        code, out, err = run(capsys, "probe", "(1 3 4 2)", "--level", "2",
+                             "--depth", "11")
+    assert (code, out) == (1, "")
+    assert one_line_error(err) and "probe step 10" in err
 
 
 # ---------------------------------------------------------------- suites

@@ -57,6 +57,8 @@ def test_cycles_round_trip():
         parse_cycles(4, "(1 5)")
     with pytest.raises(ParseError):
         parse_cycles(4, "(1 1)")
+    with pytest.raises(ParseError, match=r"\(1 x\)"):
+        parse_cycles(4, "(1 x)")
 
 
 @given(st.permutations(range(8)))

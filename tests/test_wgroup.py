@@ -27,12 +27,15 @@ from qu2.wgroup import (
     group_inv,
     group_mul,
     identity_diagram,
+    leaves,
     reduce,
     render,
     to_element,
     tree_from_words,
 )
+from qu2.words import is_partition
 from test_cli import time_limit
+from test_words import families
 
 F = parse_element("P[11] + S[12] S*[21] + S[21] S*[12] + P[22]")
 
@@ -103,6 +106,15 @@ def test_tree_from_words():
         with pytest.raises(DomainError):
             tree_from_words(words)
     assert tree_from_words([()]) == 0
+
+
+@given(families())
+def test_tree_from_words_raises_unless_partition(ws):
+    if is_partition(ws):
+        assert sorted(leaves(tree_from_words(ws))) == sorted(ws)
+    else:
+        with pytest.raises(DomainError):
+            tree_from_words(ws)
 
 
 def test_reduce_examples():

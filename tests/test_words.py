@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qu2.errors import DomainError, ParseError
 from qu2.words import (
     all_words,
+    carets,
     decode,
     encode,
     flip,
@@ -66,6 +67,55 @@ def test_partition():
     # overlapping
     assert not is_partition([(1,), (1, 2), (2,)])
     assert not is_partition([])
+
+
+def kraft_is_partition(ws):
+    """The reference rule: sorted, no word a prefix of the next, and the
+    2^-|w| summing to 1."""
+    words = sorted(ws)
+    if not words:
+        return False
+    if any(is_prefix(a, b) for a, b in zip(words, words[1:])):
+        return False
+    depth = max(len(w) for w in words)
+    return sum(1 << (depth - len(w)) for w in words) == 1 << depth
+
+
+@st.composite
+def families(draw):
+    """A random partition, then up to two edits: a word dropped, repeated,
+    cut to one of its prefixes, or a random word added."""
+    ws = [()]
+    for _ in range(draw(st.integers(0, 6))):
+        w = ws.pop(draw(st.integers(0, len(ws) - 1)))
+        ws += [w + (1,), w + (2,)]
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(("drop", "repeat", "prefix", "add")))
+        if how == "add" or not ws:
+            ws.append(draw(words))
+            continue
+        w = draw(st.sampled_from(ws))
+        if how == "drop":
+            ws.remove(w)
+        elif how == "repeat":
+            ws.append(w)
+        else:
+            ws.append(w[:draw(st.integers(0, len(w)))])
+    return draw(st.permutations(ws))
+
+
+@given(families())
+@example([])
+@example([()])
+@example([(), ()])
+@example([(), (1,), (2,)])
+def test_partition_matches_kraft_rule(ws):
+    assert is_partition(ws) == kraft_is_partition(ws)
+
+
+@given(st.lists(words, max_size=6))
+def test_carets_are_proper_prefixes(ws):
+    assert carets(ws) == {w[:i] for w in ws for i in range(len(w))}
 
 
 def test_lex_order():
