@@ -27,9 +27,10 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import CapacityError, DomainError, ParseError
-from .monomial import (Monomial, ONE, adjoint_mono, expand_right, mono_mul,
-                       mono_str, u_pow)
-from .words import Word, carets, is_partition, offset, parse_word, word_str
+from .monomial import (Monomial, ONE, adjoint_mono, expand_right, mono_str,
+                       u_pow)
+from .words import (Word, carets, decode, is_partition, offset, parse_word,
+                    word_str)
 
 Coeff = object  # int | Fraction, kept exact throughout
 
@@ -103,15 +104,35 @@ class Element:
         return self + (-other)
 
     def __mul__(self, other: "Element") -> "Element":
-        # inline rather than through _add_terms: a generator costs about a
-        # quarter of the product's time, and products are the hot path
+        # words as (|w|, t(w)): b1 is a prefix of a2 iff |b1| <= |a2| and
+        # the low |b1| bits of t(a2) are t(b1), and the suffix past it has
+        # offset t(a2) >> |b1|.  Each word is encoded once, and an
+        # orthogonal pair costs one compare and no call.
+        right = [(len(a2), offset(a2), k2, b2, c2)
+                 for (a2, k2, b2), c2 in other.terms.items()]
         acc: Dict[Monomial, Coeff] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                if m is None:
-                    continue
-                new = acc.get(m, 0) + c1 * c2
+        for (a1, k1, b1), c1 in self.terms.items():
+            n1, t1 = len(b1), offset(b1)
+            mask1 = (1 << n1) - 1
+            for n2, t2, k2, b2, c2 in right:
+                if n1 <= n2:
+                    if t2 & mask1 != t1:
+                        continue
+                    # S_b1* S_a2 = S_g, then U^k1 S_g = S_g2 U^q
+                    n = n2 - n1
+                    q, t = divmod((t2 >> n1) + k1, 1 << n)
+                    m = Monomial(a1 + decode(n, t), q + k2, b2)
+                else:
+                    if t1 & ((1 << n2) - 1) != t2:
+                        continue
+                    # S_b1* S_a2 = S_d*, then S_d* U^k2 = U^-q S_d2*
+                    n = n1 - n2
+                    q, t = divmod((t1 >> n2) - k2, 1 << n)
+                    m = Monomial(a1, k1 - q, b2 + decode(n, t))
+                # most products are new: skip the int + Fraction addition
+                c = c1 * c2
+                old = acc.get(m)
+                new = c if old is None else old + c
                 if new:
                     acc[m] = new
                 else:

@@ -57,18 +57,24 @@ def _leaf_count(tree: Tree) -> int:
 
 
 def _tree(words) -> Tree:
-    """The binary tree whose leaves are the words of a partition: each
-    caret, deepest first, joins its two children."""
-    nodes = dict.fromkeys(words, LEAF)
-    for w in sorted(carets(nodes), key=len, reverse=True):
-        nodes[w] = (nodes.pop(w + (1,)), nodes.pop(w + (2,)))
-    return nodes[()]
+    """The binary tree whose leaves are the words of a partition, given in
+    lex (leaf) order.  A stack holds the finished subtrees; a word ending
+    in 2 finishes its parent, whose left child p1 is finished and on top
+    of the stack, and so on up each trailing 2."""
+    stack: List[Tree] = []
+    for w in words:
+        node, i = LEAF, len(w)
+        while i and w[i - 1] == 2:
+            node = (stack.pop(), node)
+            i -= 1
+        stack.append(node)
+    return stack.pop()
 
 
 def tree_from_words(words) -> Tree:
     """The unique binary tree whose leaf set is the given partition;
     DomainError unless the words form one (words.is_partition)."""
-    words = list(words)
+    words = sorted(words)
     if not is_partition(words):
         raise DomainError("leaf words do not form a partition")
     return _tree(words)

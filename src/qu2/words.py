@@ -39,13 +39,20 @@ def encode(w: Word) -> Tuple[int, int]:
     return len(w), offset(w)
 
 
+# bytes.translate table taking the digit characters to letters: "1" -> 1,
+# "0" -> 2
+_LETTERS = bytes.maketrans(b"01", b"\x02\x01")
+
+
 def decode(length: int, off: int) -> Word:
     """Inverse of encode; raises DomainError when off is out of range."""
     if length < 0:
         raise DomainError(f"word length must be >= 0, got {length}")
     if not 0 <= off < (1 << length):
         raise DomainError(f"offset {off} out of range for length {length}")
-    return tuple(1 if (off >> j) & 1 else 2 for j in range(length))
+    # the binary digits with a sentinel top bit, least significant first
+    return tuple(format(off | 1 << length, "b")[:0:-1].encode()
+                 .translate(_LETTERS))
 
 
 def is_prefix(u: Word, v: Word) -> bool:

@@ -31,7 +31,7 @@ from qu2.element import (
     u,
     zero,
 )
-from qu2.monomial import Monomial, expand_right
+from qu2.monomial import Monomial, expand_right, mono_mul
 from qu2.wgroup import Diagram, from_element, reduce, to_element
 from qu2.words import is_partition
 
@@ -96,6 +96,54 @@ def test_mul_matches_composed_action(e1, e2, points):
                 image[i] = image.get(i, 0) + c * c2
         image = sorted((i, c) for i, c in image.items() if c)
         assert sorted((i, c) for c, i in apply_basis(prod, n)) == image
+
+
+long_words = st.lists(st.sampled_from((1, 2)), max_size=24).map(tuple)
+product_coeffs = st.one_of(st.integers(-3, 3).filter(bool), coeffs)
+
+
+@st.composite
+def product_operands(draw):
+    """Two elements whose words are cut from a few stems of up to 24
+    letters and extended, so that most term pairs meet and the offsets
+    run past a machine word's low bits; charges reach 2^40.  The partner
+    is independent, -e1 or e1*, and e1 may carry one term next to the
+    negated halves of its expansion, so that products cancel."""
+    stems = draw(st.lists(long_words, min_size=1, max_size=3))
+
+    def word():
+        w = draw(st.sampled_from(stems))
+        w = w[:draw(st.integers(0, len(w)))]
+        return w + draw(long_words)[:24 - len(w)]
+
+    def element():
+        return Element.from_terms(
+            (draw(product_coeffs),
+             Monomial(word(), draw(st.integers(-2**40, 2**40)), word()))
+            for _ in range(draw(st.integers(0, 5))))
+
+    e1 = element()
+    if e1.terms and draw(st.booleans()):
+        m, c = next(iter(e1.terms.items()))
+        e1 = e1 + Element.from_terms((-c, p) for p in expand_right(m))
+    partner = draw(st.sampled_from(("independent", "negated", "adjoint")))
+    if partner == "negated":
+        return e1, -e1
+    if partner == "adjoint":
+        return e1, e1.adjoint()
+    return e1, element()
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+def test_mul_matches_mono_mul_sum(operands):
+    # the reference: mono_mul over the term pairs, collected in pair order
+    e1, e2 = operands
+    ref = Element.from_terms((c1 * c2, m)
+                             for m1, c1 in e1.terms.items()
+                             for m2, c2 in e2.terms.items()
+                             for m in [mono_mul(m1, m2)] if m is not None)
+    assert list((e1 * e2).terms.items()) == list(ref.terms.items())
 
 
 @given(elements, st.integers(1, 3), st.lists(indices, min_size=3, max_size=5))

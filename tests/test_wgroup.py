@@ -33,7 +33,7 @@ from qu2.wgroup import (
     to_element,
     tree_from_words,
 )
-from qu2.words import is_partition
+from qu2.words import carets, is_partition
 from test_cli import time_limit
 from test_words import families
 
@@ -106,6 +106,30 @@ def test_tree_from_words():
         with pytest.raises(DomainError):
             tree_from_words(words)
     assert tree_from_words([()]) == 0
+
+
+def caret_tree(ws):
+    """The reference builder: each caret, deepest first, joins its two
+    children."""
+    nodes = dict.fromkeys(ws, 0)
+    for w in sorted(carets(nodes), key=len, reverse=True):
+        nodes[w] = (nodes.pop(w + (1,)), nodes.pop(w + (2,)))
+    return nodes[()]
+
+
+@st.composite
+def partitions(draw):
+    """A random partition of up to 41 words, in random order."""
+    ws = [()]
+    for _ in range(draw(st.integers(0, 40))):
+        w = ws.pop(draw(st.integers(0, len(ws) - 1)))
+        ws += [w + (1,), w + (2,)]
+    return draw(st.permutations(ws))
+
+
+@given(partitions())
+def test_tree_from_words_matches_caret_builder(ws):
+    assert tree_from_words(ws) == caret_tree(ws)
 
 
 @given(families())

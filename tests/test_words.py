@@ -36,9 +36,11 @@ def test_decode_inverts_encode(w):
     assert decode(*encode(w)) == w
 
 
-@given(st.integers(0, 255))
-def test_encode_inverts_decode(n):
-    assert encode(decode(8, n)) == (8, n)
+@given(st.integers(0, 64).flatmap(
+    lambda length: st.tuples(st.just(length), st.integers(0, (1 << length) - 1))))
+def test_encode_inverts_decode(code):
+    length, n = code
+    assert encode(decode(length, n)) == (length, n)
 
 
 def test_decode_range_checked():
