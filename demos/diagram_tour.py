@@ -3,7 +3,7 @@
 Run with:  python3 demos/diagram_tour.py
 """
 
-from qu2.element import element_str, eq, mul, one, parse_element, total_charge
+from qu2.element import element_str, eq, one, parse_element, total_charge
 from qu2.wgroup import (
     Diagram, charge, diagram_to_json, from_element, group_inv, group_mul,
     identity_diagram, reduce, render, to_element,
@@ -30,7 +30,7 @@ def main():
     prod = group_mul(d, dinv)
     print("  d * d^-1:", diagram_to_json(prod))
     assert eq(to_element(prod), one())
-    assert eq(mul(w, to_element(dinv)), one())
+    assert eq(w * to_element(dinv), one())
 
     print()
     print("Conversion is faithful both ways and reduction strips cancelling")

@@ -3,7 +3,7 @@
 Run with:  python3 demos/endomorphism_tour.py
 """
 
-from qu2.element import element_str, eq, flip_flop, mul, parse_element, phi
+from qu2.element import element_str, eq, flip_flop, parse_element, phi
 from qu2.endo import (
     check_extension_parts, enumerate_extendible, identity_perm, make_u_p,
     mixed_template, perm_to_cycles, perm_unitary_from_cycles,
@@ -50,7 +50,7 @@ def main():
         plus = make_u_p(identity_perm(1 << (k - 1)), +1)
         print(f"  k={k}: u_id^+ equals F_{k-1}:", eq(plus.element, tower))
         assert eq(plus.element, tower)
-        tower = mul(phi(tower), big_f)
+        tower = phi(tower) * big_f
 
     print()
     print("and the negative twin differs from it by a right flip factor:")
@@ -58,7 +58,7 @@ def main():
     plus = make_u_p(identity_perm(1 << (k - 1)), +1)
     minus = make_u_p(identity_perm(1 << (k - 1)), -1)
     print("  u_id^-(3) f == u_id^+(3):",
-          eq(mul(minus.element, flip_flop()), plus.element))
+          eq(minus.element * flip_flop(), plus.element))
 
     print()
     print("Constructive and brute-force enumeration agree where both run.")

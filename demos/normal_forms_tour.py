@@ -4,7 +4,7 @@ Run with:  python3 demos/normal_forms_tour.py
 """
 
 from qu2.element import (
-    element_str, eq, membership, mul, normalize, parse_element, total_charge,
+    element_str, eq, membership, normalize, parse_element, total_charge,
 )
 from qu2.canrep import apply_basis, semantic_eq
 
@@ -65,7 +65,7 @@ def main():
     print("U sends even indices to odd ones, so compressing it to the even")
     print("side annihilates it:")
     p2 = parse_element("P[2]")
-    squeezed = mul(mul(p2, u), p2)
+    squeezed = p2 * u * p2
     show("P[2] U P[2]", squeezed)
     assert eq(squeezed, parse_element("0*1"))
 

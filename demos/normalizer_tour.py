@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from qu2.canrep import phase_apply
 from qu2.element import (
-    add, element_str, eq, mul, one, parse_element, putnam_form, bd_v_factor,
+    element_str, eq, one, parse_element, putnam_form, bd_v_factor,
     u as u_power,
 )
 
@@ -20,8 +20,8 @@ def main():
     print("  w  =", element_str(w))
     print("  bd =", element_str(bd))
     print("  v  =", element_str(v))
-    print("  bd * v == w:", eq(mul(bd, v), w))
-    assert eq(mul(bd, v), w)
+    print("  bd * v == w:", eq(bd * v, w))
+    assert eq(bd * v, w)
 
     print()
     print("The charge part rewrites as a sum of projections times powers of")
@@ -34,9 +34,9 @@ def main():
     domain = None
     ranges = None
     for p, n in pairs:
-        shifted = mul(mul(u_power(-n), p), u_power(n))
-        domain = p if domain is None else add(domain, p)
-        ranges = shifted if ranges is None else add(ranges, shifted)
+        shifted = u_power(-n) * p * u_power(n)
+        domain = p if domain is None else domain + p
+        ranges = shifted if ranges is None else ranges + shifted
     print("  sum of projections      == 1:", eq(domain, one()))
     print("  sum of shifted versions == 1:", eq(ranges, one()))
     assert eq(domain, one()) and eq(ranges, one())

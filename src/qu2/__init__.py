@@ -36,8 +36,6 @@ from .monomial import (
 from .element import (
     Element,
     Membership,
-    add,
-    adjoint_el,
     bd_v_factor,
     element_str,
     eq,
@@ -45,7 +43,6 @@ from .element import (
     from_json,
     is_unitary,
     membership,
-    mul,
     normalize,
     one,
     parse_element,
@@ -54,7 +51,6 @@ from .element import (
     putnam_form,
     s,
     s_star,
-    scale,
     to_json,
     total_charge,
     u,

@@ -14,16 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .element import Element
-from .errors import CapacityError, DomainError
+from .element import Element, _unitary_terms
+from .errors import DomainError
 from .monomial import Monomial
 from .words import Word, is_partition
 
 Zero = None  # absorbing image of a basis vector
-
-# semantic_eq refuses to probe more residue classes than this (beta words of
-# up to 16 letters)
-_MAX_PROBES = 1 << 16
 
 
 class BasisVector(NamedTuple):
@@ -73,31 +69,38 @@ def apply_basis(e, n: int):
     return sorted(((c, i) for i, c in acc.items()), key=lambda p: p[1])
 
 
-def _image_map(e: Element, n: int) -> Dict[int, object]:
-    return {i: c for c, i in apply_basis(e, n)}
-
-
 def semantic_eq(e1: Element, e2: Element) -> bool:
     """Pointwise equality check on l^2(Z).
 
-    At depth L, on the residue class n = r + q * 2^L (0 <= r < 2^L) every
-    monomial that acts there maps q |-> s*q + c, with slope s >= 1 and c
-    its image of e_r.  Two distinct such maps meet at most once, at
-    |q| <= |c - c'|, so at q = 2 * max|c| + 1 all the maps of both elements
-    take distinct values, and one probe there decides the class.  That is
-    2^L probes; more than _MAX_PROBES is a CapacityError.
+    The probes follow the completed trie of all beta words: a node w that
+    is a proper prefix of some beta has both children w1 and w2, also the
+    one no beta passes through, so the leaves partition Z into the classes
+    n = t(w) + q * 2^|w|.  Only the monomials whose beta is a prefix of a
+    leaf w act on its class, and each maps q |-> s*q + c there, with slope
+    s = 2^(|alpha| + |w| - |beta|) >= 1 and c its image of e_t(w).  Two
+    distinct such maps meet at most once, at |q| <= |c - c'|, so at
+    q = 2 * max|c| + 1 all the maps of both elements take distinct values,
+    and one probe there decides the class.  The trie has at most one leaf
+    more than the beta words have letters.
     """
-    depth = max(e1.depth(), e2.depth())
-    span = 1 << depth
-    if span > _MAX_PROBES:
-        raise CapacityError(f"depth {depth} needs {span} probes; "
-                            f"the limit is {_MAX_PROBES}")
-    monos = [*e1.terms, *e2.terms]
-    for r in range(span):
-        reach = max((abs(c) for c in (mono_image(m, r) for m in monos)
-                     if c is not None), default=0)
-        n = r + (2 * reach + 1) * span
-        if _image_map(e1, n) != _image_map(e2, n):
+    # (|w|, t(w), the terms acting on the class of w), e2 negated
+    stack = [(0, 0, [*e1.terms.items(),
+                     *((m, -c) for m, c in e2.terms.items())])]
+    while stack:
+        depth, off, acting = stack.pop()
+        if any(len(m.beta) > depth for m, _c in acting):
+            for letter, bit in ((1, 1 << depth), (2, 0)):
+                stack.append((depth + 1, off + bit,
+                              [(m, c) for m, c in acting
+                               if len(m.beta) <= depth or m.beta[depth] == letter]))
+            continue
+        reach = max((abs(mono_image(m, off)) for m, _c in acting), default=0)
+        n = off + ((2 * reach + 1) << depth)
+        acc: Dict[int, object] = {}
+        for m, c in acting:
+            idx = mono_image(m, n)
+            acc[idx] = acc.get(idx, 0) + c
+        if any(acc.values()):
             return False
     return True
 
@@ -160,14 +163,11 @@ class DecoratedPermutative:
 
     @classmethod
     def from_element(cls, e: Element, phases=None) -> "DecoratedPermutative":
-        """Decorate a unitary sum-of-monomials; phases maps alpha word ->
-        dyadic angle (default all zero)."""
-        from .element import is_unitary, normalize
-        if not is_unitary(e):
-            raise DomainError("base element must be a unitary sum of monomials")
+        """Decorate a unitary sum-of-monomials on its refined form; phases
+        maps a refined alpha word -> dyadic angle (default all zero)."""
         phases = phases or {}
         return cls([(phases.get(m.alpha, Fraction(0)), m)
-                    for m in normalize(e).terms])
+                    for m in _unitary_terms(e, "DecoratedPermutative")])
 
     def apply(self, n: int) -> Optional[BasisVector]:
         for z, m in self.terms:

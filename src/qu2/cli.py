@@ -16,12 +16,10 @@ from fractions import Fraction
 from .errors import CapacityError, DomainError, ParseError
 from .element import (
     Element,
-    adjoint_el,
     element_str,
     eq,
     is_unitary,
     membership,
-    mul,
     normalize,
     parse_element,
     putnam_form,
@@ -128,7 +126,7 @@ def cmd_normalize(args):
 def cmd_mul(args):
     out = parse_element(args.expr[0])
     for text in args.expr[1:]:
-        out = mul(out, parse_element(text))
+        out = out * parse_element(text)
     _emit(args, [element_str(out)], json.loads(element_to_json(out)))
 
 
@@ -138,7 +136,7 @@ def cmd_eq(args):
 
 
 def cmd_adjoint(args):
-    out = adjoint_el(parse_element(args.expr))
+    out = parse_element(args.expr).adjoint()
     _emit(args, [element_str(out)], json.loads(element_to_json(out)))
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import (Monomial, ONE, adjoint_mono, expand_right, mono_str,
@@ -178,19 +178,6 @@ def flip_flop() -> Element:
 
 # structural operations ---------------------------------------------------
 
-def add(e1: Element, e2: Element) -> Element:
-    return e1 + e2
-
-def scale(c: Coeff, e: Element) -> Element:
-    return e.scale(c)
-
-def mul(e1: Element, e2: Element) -> Element:
-    return e1 * e2
-
-def adjoint_el(e: Element) -> Element:
-    return e.adjoint()
-
-
 def normalize(e: Element, depth: Optional[int] = None) -> Element:
     """Canonical form: every beta word brought to the same length.
 
@@ -209,22 +196,35 @@ def normalize(e: Element, depth: Optional[int] = None) -> Element:
     if sum(1 << min(depth - len(m.beta), 17) for m in e.terms) > _MAX_TERMS:
         raise CapacityError(f"the form at depth {depth} has over "
                             f"{_MAX_TERMS} terms")
-    # inline like Element.__mul__: a generator into _add_terms makes
-    # normalize about a quarter slower on terms already at depth
+    # the carets of the uniform form: every b + x with |x| < depth - |b|
+    inner: Set[Word] = set()
+    level = {m.beta for m in e.terms if len(m.beta) < depth}
+    while level:
+        inner |= level
+        level = {w + (letter,) for w in level if len(w) + 1 < depth
+                 for letter in (1, 2)}
+    return Element(_expand(e, inner))
+
+
+def _expand(e: Element, inner: Set[Word]) -> Dict[Monomial, Coeff]:
+    """The collected term map of e with each term expanded while its beta
+    is in inner."""
     acc: Dict[Monomial, Coeff] = {}
     for m, c in e.terms.items():
         stack = [m]
         while stack:
             cur = stack.pop()
-            if len(cur.beta) < depth:
+            if cur.beta in inner:
                 stack.extend(expand_right(cur))
                 continue
-            new = acc.get(cur, 0) + c
+            # most leaves are new: skip the int + Fraction addition
+            old = acc.get(cur)
+            new = c if old is None else old + c
             if new:
                 acc[cur] = new
             else:
                 acc.pop(cur, None)
-    return Element(acc)
+    return acc
 
 
 def _refine(*es: Element) -> List[Dict[Monomial, Coeff]]:
@@ -232,25 +232,7 @@ def _refine(*es: Element) -> List[Dict[Monomial, Coeff]]:
     all their beta words: each term is expanded while its beta is a proper
     prefix of some beta present, so the betas left are prefix-free."""
     inner = carets({m.beta for e in es for m in e.terms})
-    out = []
-    for e in es:
-        acc: Dict[Monomial, Coeff] = {}
-        for m, c in e.terms.items():
-            stack = [m]
-            while stack:
-                cur = stack.pop()
-                if cur.beta in inner:
-                    stack.extend(expand_right(cur))
-                    continue
-                # most leaves are new: skip the int + Fraction addition
-                old = acc.get(cur)
-                new = c if old is None else old + c
-                if new:
-                    acc[cur] = new
-                else:
-                    acc.pop(cur, None)
-        out.append(acc)
-    return out
+    return [_expand(e, inner) for e in es]
 
 
 def eq(e1: Element, e2: Element) -> bool:

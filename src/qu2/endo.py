@@ -22,11 +22,11 @@ import re
 from math import factorial
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .element import (Element, _refine, adjoint_el, eq, flip_flop, is_unitary,
-                      mul, normalize, one, parse_element, phi, s, u)
+from .element import (Element, _refine, eq, flip_flop, is_unitary, normalize,
+                      one, parse_element, phi, s, u)
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import Monomial
-from .words import Word, all_words, flip, lex_index
+from .words import Word, all_words, lex_index
 
 Perm = Tuple[int, ...]  # perm[i] = lex index of the image of the i-th word
 
@@ -142,10 +142,10 @@ def check_extension_parts(pu: PermUnitary, u_tilde: Element) -> Tuple[bool, bool
     if not is_unitary(u_tilde):
         raise DomainError("candidate image of U must be unitary")
     u_el = pu.element
-    s1t = mul(u_el, s((1,)))
-    s2t = mul(u_el, s((2,)))
-    ext1 = eq(mul(u_tilde, s2t), s1t)
-    ext2 = eq(mul(u_tilde, s1t), mul(s2t, u_tilde))
+    s1t = u_el * s((1,))
+    s2t = u_el * s((2,))
+    ext1 = eq(u_tilde * s2t, s1t)
+    ext2 = eq(u_tilde * s1t, s2t * u_tilde)
     return ext1, ext2
 
 
@@ -168,10 +168,7 @@ def extend(pu: PermUnitary, u_tilde: Element) -> ExtendedEndo:
 
 def phi_pow_proj(h: int, i: int) -> Element:
     """phi^h(P_i) = sum over length-h words a of P_{a i}."""
-    acc = Element()
-    for a in all_words(h):
-        acc = acc + Element({Monomial(a + (i,), 0, a + (i,)): 1})
-    return acc
+    return Element({Monomial(a + (i,), 0, a + (i,)): 1 for a in all_words(h)})
 
 
 def mixed_template(k: int, h: int, variant: int) -> Element:
@@ -181,7 +178,7 @@ def mixed_template(k: int, h: int, variant: int) -> Element:
         raise DomainError("variant must be 1 or 2")
     n = 1 << (k - 1)
     i, j = (1, 2) if variant == 1 else (2, 1)
-    return mul(phi_pow_proj(h, i), u(n)) + mul(phi_pow_proj(h, j), u(-n))
+    return phi_pow_proj(h, i) * u(n) + phi_pow_proj(h, j) * u(-n)
 
 
 # A label names a template at level k: U+ / U- for U^{±2^{k-1}}, M{v}:{h}
@@ -272,8 +269,7 @@ def make_u_p(p: Sequence[int], sign: int) -> PermUnitary:
 
 
 def _apply_mask(mask: Sequence[int], w: Word) -> Word:
-    return tuple(flip((letter,))[0] if bit else letter
-                 for bit, letter in zip(mask, w))
+    return tuple(3 - letter if bit else letter for bit, letter in zip(mask, w))
 
 
 def make_u_sigma(k: int, h: int, variant: int,
@@ -351,9 +347,9 @@ def make_inner_phi(p: PermUnitary, with_flip: bool) -> ExtendedEndo:
     flip-flop when asked): u = p phi(p*) (times f), image of U = pUp*
     (resp. pU*p*)."""
     p_el = p.element
-    u_el = mul(p_el, phi(adjoint_el(p_el)))
+    u_el = p_el * phi(p_el.adjoint())
     if with_flip:
-        u_el = mul(u_el, flip_flop())
+        u_el = u_el * flip_flop()
     pu = perm_unitary_from_element(u_el, p.level + 1)
     return extend(pu, _inner_image(p, with_flip))
 
@@ -361,7 +357,7 @@ def make_inner_phi(p: PermUnitary, with_flip: bool) -> ExtendedEndo:
 def _inner_image(p: PermUnitary, with_flip: bool) -> Element:
     """p U p*, or p U* p* with the flip-flop."""
     p_el = p.element
-    return mul(mul(p_el, u(-1 if with_flip else 1)), adjoint_el(p_el))
+    return p_el * u(-1 if with_flip else 1) * p_el.adjoint()
 
 
 # enumeration ------------------------------------------------------------------
@@ -435,7 +431,7 @@ def _forced_images(k: int, template: Element) -> Dict[int, int]:
     term of the refined form proposes b; eq decides."""
     forced = {}
     for a, word in enumerate(all_words(k)):
-        image = mul(template, s(word))
+        image = template * s(word)
         (f,) = _refine(image)
         m = next(iter(f), None)
         if m is None or len(m.alpha) - len(m.beta) != k:
@@ -498,18 +494,18 @@ def lambda_apply(endo: ExtendedEndo, e: Element) -> Element:
     if not endo.verified:
         raise DomainError("endomorphism is not verified; refusing to apply")
     u_el = endo.u.element
-    images = {1: mul(u_el, s((1,))), 2: mul(u_el, s((2,)))}
-    ut, ut_star = endo.u_tilde, adjoint_el(endo.u_tilde)
+    images = {1: u_el * s((1,)), 2: u_el * s((2,))}
+    ut, ut_star = endo.u_tilde, endo.u_tilde.adjoint()
     out = Element()
     for m, c in e.terms.items():
         acc = one()
         for letter in m.alpha:
-            acc = mul(acc, images[letter])
+            acc = acc * images[letter]
         kf = ut if m.k >= 0 else ut_star
         for _ in range(abs(m.k)):
-            acc = mul(acc, kf)
+            acc = acc * kf
         for letter in reversed(m.beta):
-            acc = mul(acc, adjoint_el(images[letter]))
+            acc = acc * images[letter].adjoint()
         out = out + acc.scale(c)
     return out
 
@@ -541,24 +537,23 @@ def automorphism_probe(pu: PermUnitary, depth: int = 6) -> ProbeResult:
     if depth < 2:
         raise DomainError("probe needs depth >= 2")
     u_el = pu.element
-    u_star = adjoint_el(u_el)
+    u_star = u_el.adjoint()
     u_k = prev_w = None
+    phi_u = u_el  # phi^(k-1)(u)
     for k in range(1, depth + 1):
         if pu.level + k - 1 > _MAX_PROBE_LEVEL:
             raise CapacityError(f"probe step {k} needs level-{pu.level + k - 1} "
                                 f"tower elements; at most {_MAX_PROBE_LEVEL}")
-        u_k = u_el if k == 1 else mul(u_k, _phi_pow(u_el, k - 1))
-        w_k = mul(mul(adjoint_el(u_k), u_star), u_k)
+        if k == 1:
+            u_k = u_el
+        else:
+            phi_u = phi(phi_u)
+            u_k = u_k * phi_u
+        w_k = u_k.adjoint() * u_star * u_k
         if prev_w is not None and eq(prev_w, w_k):
             return ProbeResult(k - 1, prev_w)
         prev_w = w_k
     return ProbeResult(None, None)
-
-
-def _phi_pow(e: Element, j: int) -> Element:
-    for _ in range(j):
-        e = phi(e)
-    return e
 
 
 # reproduction suites ------------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .element import Element, _unitary_terms, mul
+from .element import Element, _unitary_terms
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import Monomial, expand_right
 from .words import Word, carets, is_partition
@@ -179,7 +179,7 @@ def reduce(d: Diagram) -> Diagram:
 # group structure -------------------------------------------------------------
 
 def group_mul(d1: Diagram, d2: Diagram) -> Diagram:
-    return reduce(from_element(mul(to_element(d1), to_element(d2))))
+    return reduce(from_element(to_element(d1) * to_element(d2)))
 
 
 def group_inv(d: Diagram) -> Diagram:

@@ -14,11 +14,9 @@ from qu2.canrep import BasisVector, phase_apply, semantic_eq
 from qu2.cli import _table_path, run_verify_counts, run_verify_table
 from qu2.element import (
     Element,
-    add,
     eq,
     flip_flop,
     membership,
-    mul,
     normalize,
     one,
     parse_element,
@@ -144,8 +142,8 @@ def test_criterion_5_phi_tower():
         plus = make_u_p(identity_perm(1 << (k - 1)), +1)
         minus = make_u_p(identity_perm(1 << (k - 1)), -1)
         assert eq(plus.element, tower)
-        assert eq(mul(minus.element, f), plus.element)
-        tower = mul(phi(tower), big_f)
+        assert eq(minus.element * f, plus.element)
+        tower = phi(tower) * big_f
 
 
 def _random_element(rng, max_len=6, max_terms=16, max_charge=32):
@@ -229,14 +227,14 @@ def test_criterion_8_normalizer_structure():
         bd, v = bd_v_factor(w)
         assert membership(bd)["in_QT"]
         assert membership(v)["in_O2"]
-        assert eq(mul(bd, v), w)
+        assert eq(bd * v, w)
         # both partition-of-unity conditions for the translation form
         domain = None
         range_ = None
         for p, n in putnam_form(bd):
-            shifted = mul(mul(u_element(-n), p), u_element(n))
-            domain = p if domain is None else add(domain, p)
-            range_ = shifted if range_ is None else add(range_, shifted)
+            shifted = u_element(-n) * p * u_element(n)
+            domain = p if domain is None else domain + p
+            range_ = shifted if range_ is None else range_ + shifted
         assert eq(domain, one())
         assert eq(range_, one())
 

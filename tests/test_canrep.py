@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qu2.canrep
 from qu2.canrep import (
     BasisVector,
     DecoratedPermutative,
@@ -16,17 +19,18 @@ from qu2.canrep import (
 from qu2.errors import DomainError
 from qu2.element import (
     Element,
-    adjoint_el,
     eq,
     flip_flop,
-    mul,
     normalize,
     one,
     parse_element,
+    s,
+    s_star,
     u,
     zero,
 )
 from qu2.monomial import Monomial, parse_mono
+from qu2.words import offset
 
 words = st.lists(st.sampled_from((1, 2)), max_size=3).map(tuple)
 monos = st.builds(Monomial, words, st.integers(-8, 8), words)
@@ -58,8 +62,10 @@ def test_apply_basis():
 
 def test_semantic_eq_examples():
     assert semantic_eq(u(2), parse_element("S[1] U S*[1] + S[2] U S*[2]"))
-    assert not semantic_eq(u(), adjoint_el(u()))
-    assert semantic_eq(mul(F, F), one())
+    assert not semantic_eq(u(), u().adjoint())
+    assert semantic_eq(F * F, one())
+    # they differ on the class of 2, where no beta word leads
+    assert not semantic_eq(one(), parse_element("P[1]"))
 
 
 def test_semantic_eq_sees_past_colliding_images():
@@ -94,6 +100,116 @@ def test_semantic_eq_matches_symbolic_eq(e1, e2):
 @given(elements, st.integers(0, 2))
 def test_semantic_eq_across_depths(e, d):
     assert semantic_eq(e, normalize(e, e.depth() + d))
+
+
+def _reference_semantic_eq(e1, e2):
+    """The oracle on every residue class r mod 2^L, L the longest beta: each
+    monomial acting there maps q |-> s*q + c with s >= 1, so one probe at
+    q = 2 * max|c| + 1 decides the class."""
+    span = 1 << max(e1.depth(), e2.depth())
+    monos = [*e1.terms, *e2.terms]
+    for r in range(span):
+        reach = max((abs(c) for c in (mono_image(m, r) for m in monos)
+                     if c is not None), default=0)
+        n = r + (2 * reach + 1) * span
+        if apply_basis(e1, n) != apply_basis(e2, n):
+            return False
+    return True
+
+
+deep_words = st.lists(st.sampled_from((1, 2)), max_size=8).map(tuple)
+deep_elements = st.lists(
+    st.tuples(coeffs, st.builds(Monomial, deep_words, st.integers(-8, 8),
+                                deep_words)),
+    max_size=4).map(Element.from_terms)
+
+
+@st.composite
+def oracle_pairs(draw):
+    """An element with betas of up to 8 letters, and a partner that is
+    independent, the same with one term expanded, the same with one term
+    expanded and one of its parts dropped, or one coefficient off."""
+    e1 = draw(deep_elements)
+    how = draw(st.sampled_from(("independent", "expanded", "truncated",
+                                "perturbed")))
+    if how == "independent" or not e1.terms:
+        return e1, draw(deep_elements)
+    rest = dict(e1.terms)
+    m = draw(st.sampled_from(sorted(rest)))
+    c = rest.pop(m)
+    if how == "perturbed":
+        return e1, Element(rest) + Element.mono(m, c + draw(coeffs))
+    parts = normalize(Element.mono(m, c), len(m.beta) + draw(st.integers(1, 3)))
+    if how == "truncated":
+        # nonzero only on the class of the dropped part, which the
+        # partner's betas may not reach
+        parts.terms.pop(draw(st.sampled_from(sorted(parts.terms))))
+    return e1, Element(rest) + parts
+
+
+@settings(deadline=None, max_examples=200)
+@given(oracle_pairs())
+def test_semantic_eq_matches_every_class_reference(pair):
+    e1, e2 = pair
+    assert semantic_eq(e1, e2) == _reference_semantic_eq(e1, e2) == eq(e1, e2)
+
+
+def test_semantic_eq_probes_only_acting_terms(monkeypatch):
+    # each leaf of the beta trie evaluates only the terms whose beta is a
+    # prefix of it, twice (its reach, then the probe), and the leaves number
+    # at most one more than the beta letters
+    seen = []
+
+    def counted(m, n):
+        seen.append(mono_image(m, n))
+        return seen[-1]
+
+    monkeypatch.setattr(qu2.canrep, "mono_image", counted)
+    d = parse_element("S[1] U S*[122] + 2*P[21] + U^3 + S[2] S*[1112]")
+    for e1, e2 in [(d, d), (d, zero()), (d, normalize(d, 5)), (u(), F)]:
+        seen.clear()
+        semantic_eq(e1, e2)
+        assert None not in seen
+        terms = [*e1.terms, *e2.terms]
+        letters = sum(len(m.beta) for m in terms)
+        assert len(seen) <= 2 * (letters + 1) * len(terms)
+
+
+def _named(node):
+    """The names a function or class body reads, annotations left out."""
+    body = node.body + getattr(getattr(node, "args", None), "defaults", [])
+    return {sub.id for stmt in body for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name)}
+
+
+def test_oracle_names_no_arithmetic():
+    # canrep stays an independent oracle: semantic_eq and mono_image, and
+    # every canrep function they reach, name nothing of qu2.element or
+    # qu2.monomial but the Monomial type
+    tree = ast.parse(Path(qu2.canrep.__file__).read_text())
+    top = {node.name: node for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    arithmetic = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        for alias in node.names:
+            module = node.module or alias.name
+            if module.rsplit(".", 1)[-1] in ("element", "monomial"):
+                arithmetic.add(alias.asname or alias.name)
+    arithmetic.discard("Monomial")
+    assert arithmetic  # the parse found canrep's element imports
+    todo, reached = ["semantic_eq", "mono_image"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        assert not any(isinstance(sub, (ast.Import, ast.ImportFrom))
+                       for sub in ast.walk(top[name])), name
+        named = _named(top[name])
+        assert not named & arithmetic, (name, named & arithmetic)
+        todo.extend(named & top.keys())
 
 
 def test_phase_apply_examples():
@@ -157,6 +273,22 @@ def test_decorated_permutative_mixed_phases():
         assert out.index == i
         leaf = next(m.alpha for m in p.terms if mono_image(m, n) is not None)
         assert out.phase == d[leaf]
+
+
+def test_decorated_permutative_deep_shift():
+    # the shift along a 64-letter word: 65 refined terms, where the uniform
+    # form would have 2^64; phases are keyed by the refined alpha words
+    w = (1, 2, 2) * 21 + (1,)
+    pw = s(w) * s_star(w)
+    shift = s(w) * u() * s_star(w) + one() - pw
+    v = DecoratedPermutative.from_element(shift, {w: Fraction(1, 2)})
+    assert len(v.terms) == 65
+    t = offset(w)
+    for q in (-3, 0, 5):
+        n = t + (q << 64)
+        assert v.apply(n) == BasisVector(n + (1 << 64), Fraction(1, 2))
+    for n in (t - 1, t + 1, t + (1 << 63), 0):
+        assert v.apply(n) == BasisVector(n, Fraction(0))
 
 
 def test_decorated_permutative_validation():

@@ -8,8 +8,6 @@ from qu2.canrep import apply_basis, semantic_eq
 from qu2.errors import CapacityError, DomainError, ParseError
 from qu2.element import (
     Element,
-    add,
-    adjoint_el,
     bd_v_factor,
     element_str,
     eq,
@@ -17,7 +15,6 @@ from qu2.element import (
     from_json,
     is_unitary,
     membership,
-    mul,
     normalize,
     one,
     parse_element,
@@ -25,7 +22,6 @@ from qu2.element import (
     putnam_form,
     s,
     s_star,
-    scale,
     to_json,
     total_charge,
     u,
@@ -63,11 +59,11 @@ def test_normalize_examples():
 
 
 def test_eq_examples():
-    assert eq(mul(u(), adjoint_el(u())), one())
-    assert eq(mul(F, F), one())
+    assert eq(u() * u().adjoint(), one())
+    assert eq(F * F, one())
     assert eq(u(), parse_element("S[1] S*[2] + S[2] U S*[1]"))
-    assert not eq(u(), adjoint_el(u()))
-    assert eq(mul(u(2), u(-1)), u())
+    assert not eq(u(), u().adjoint())
+    assert eq(u(2) * u(-1), u())
 
 
 @given(elements)
@@ -77,18 +73,18 @@ def test_eq_reflexive(e):
 
 @given(elements, elements)
 def test_add_commutes(e1, e2):
-    assert eq(add(e1, e2), add(e2, e1))
+    assert eq(e1 + e2, e2 + e1)
 
 
 @given(elements)
 def test_adjoint_involution(e):
-    assert eq(adjoint_el(adjoint_el(e)), e)
+    assert eq(e.adjoint().adjoint(), e)
 
 
 @settings(deadline=None)
 @given(elements, elements, st.lists(indices, min_size=3, max_size=6))
 def test_mul_matches_composed_action(e1, e2, points):
-    prod = mul(e1, e2)
+    prod = e1 * e2
     for n in points:
         image = {}
         for c, j in apply_basis(e2, n):
@@ -158,8 +154,8 @@ def test_is_unitary():
     assert is_unitary(u())
     assert is_unitary(f)
     assert not is_unitary(parse_element("S[2]"))
-    assert not is_unitary(scale(Fraction(1, 2), u()))
-    assert not is_unitary(add(u(), u()))
+    assert not is_unitary(u().scale(Fraction(1, 2)))
+    assert not is_unitary(u() + u())
 
 
 def test_membership():
@@ -202,13 +198,13 @@ def test_putnam_form():
 @given(elements, st.lists(indices, min_size=4, max_size=8))
 def test_putnam_form_recomposes(e, points):
     partition = parse_element("P[1] + P[2]")
-    v = normalize(add(mul(mul(partition, e), partition), zero()))
+    v = normalize(partition * e * partition + zero())
     # build a gauge-invariant unitary out of whatever survives; skip junk
     cand = F if not is_unitary(v) or not membership(v).in_QT else v
     pairs = putnam_form(cand)
     recomposed = zero()
     for p, n in pairs:
-        recomposed = add(recomposed, mul(p, u(n)))
+        recomposed = recomposed + p * u(n)
     assert eq(recomposed, cand)
     assert eq(sum((p for p, _ in pairs), zero()), one())
 
@@ -219,7 +215,7 @@ def test_bd_v_factor():
     bd, v = bd_v_factor(normalize(u(), 1))
     assert element_str(bd) == "P[1] + S[2] U S*[2]"
     assert eq(v, f)
-    assert eq(mul(bd, v), u())
+    assert eq(bd * v, u())
     # diagonal case: v = 1
     d = parse_element("S[1] U^2 S*[1] + S[2] U^-3 S*[2]")
     bd, v = bd_v_factor(d)
@@ -239,32 +235,32 @@ def test_total_charge():
 def test_total_charge_expansion_invariant():
     # expand_right splits k into k' + k'' with k' + k'' = k, so the sum
     # of charges does not depend on the depth of the canonical form
-    for e, want in [(u(2), 2), (u(-3), -3), (mul(F, u()), 1)]:
+    for e, want in [(u(2), 2), (u(-3), -3), (F * u(), 1)]:
         assert [total_charge(normalize(e, e.depth() + d)) for d in range(4)] \
             == [want] * 4
 
 
 def test_total_charge_additive():
-    assert total_charge(mul(u(3), u(4))) == 7
-    assert total_charge(mul(F, u(5))) == 5
+    assert total_charge(u(3) * u(4)) == 7
+    assert total_charge(F * u(5)) == 5
 
 
 def test_phi():
     assert eq(phi(one()), one())
     assert eq(phi(u()), parse_element("S[1] U S*[1] + S[2] U S*[2]"))
     # F implements phi on the generators: F S_i = phi(S_i)
-    assert eq(mul(F, parse_element("S[1]")), phi(parse_element("S[1]")))
-    assert eq(mul(F, parse_element("S[2]")), phi(parse_element("S[2]")))
+    assert eq(F * parse_element("S[1]"), phi(parse_element("S[1]")))
+    assert eq(F * parse_element("S[2]"), phi(parse_element("S[2]")))
 
 
 def test_parser():
     assert parse_element("1") == one()
     assert parse_element("U^-4") == u(-4)
-    assert eq(parse_element("3/2*P[1] + -1*U"), add(
-        scale(Fraction(3, 2), parse_element("P[1]")), scale(-1, u())))
+    assert eq(parse_element("3/2*P[1] + -1*U"),
+              parse_element("P[1]").scale(Fraction(3, 2)) + u().scale(-1))
     assert eq(parse_element("U U"), u(2))
     assert eq(parse_element("S[1]S*[2]+S[2]S*[1]"), f)
-    assert eq(parse_element("2"), scale(2, one()))
+    assert eq(parse_element("2"), one().scale(2))
     assert parse_element("U - U") == zero()
     with pytest.raises(ParseError):
         parse_element("3/2 P[1]")  # coefficient needs '*'
@@ -517,18 +513,10 @@ def _deep_cases(w):
 
 @pytest.mark.parametrize("d", [16, 32, 64])
 def test_deep_beta_eq(d):
-    cases = _deep_cases(_deep_word(d))
-    for a, b, equal in cases:
+    for a, b, equal in _deep_cases(_deep_word(d)):
         assert eq(a, b) == equal
         assert eq(b, a) == equal
-    (a, b, _), (a2, b2, _) = cases[0], cases[4]
-    if d <= 16:
-        # within the oracle's probe budget
-        assert semantic_eq(a, b)
-        assert not semantic_eq(a2, b2)
-    else:
-        with pytest.raises(CapacityError):
-            semantic_eq(a, b)
+        assert semantic_eq(a, b) == equal
 
 
 @pytest.mark.parametrize("d", [16, 32, 64])

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qu2.errors import CapacityError, DomainError, ParseError
 from qu2.element import (
-    adjoint_el,
     element_str,
     eq,
     flip_flop,
-    mul,
     one,
     parse_element,
     phi,
@@ -123,7 +121,7 @@ def test_templates_menu():
     assert eq(ts[0], u(2)) and eq(ts[1], u(-2))
     # mixed templates commute past the power of U at matching depth
     lhs = mixed_template(2, 0, 1)
-    rhs = mul(u(2), parse_element("P[1]")) + mul(u(-2), parse_element("P[2]"))
+    rhs = u(2) * parse_element("P[1]") + u(-2) * parse_element("P[2]")
     assert eq(lhs, rhs)
     labels3 = [label for label, _t in u_templates_labeled(3)]
     assert labels3[:6] == ["U+", "U-", "M1:0", "M2:0", "M1:1", "M2:1"]
@@ -145,8 +143,7 @@ def test_menu_entries_pairwise_distinct():
 def test_parse_template_labels():
     kind, element = parse_template(3, "AD*:(1 2)")
     assert kind == ("inner", (1, 0, 2, 3), True)
-    assert eq(element, mul(mul(pu2("(1 2)").element, u(-1)),
-                           adjoint_el(pu2("(1 2)").element)))
+    assert eq(element, pu2("(1 2)").element * u(-1) * pu2("(1 2)").element.adjoint())
     assert parse_template(3, "M2:1")[0] == ("mixed", 1, 2)
     assert parse_template(3, "U-")[0] == ("pure", -1)
     # element expressions are not labels
@@ -180,7 +177,7 @@ def test_make_u_p():
             assert check_extension(up, u(n))
             assert check_extension(um, u(-n))
             # u_p^- f = u_p^+
-            assert eq(mul(um.element, f), up.element)
+            assert eq(um.element * f, up.element)
 
 
 def test_make_u_sigma():
@@ -206,7 +203,7 @@ def test_make_inner_phi():
     endo = make_inner_phi(level1_id, with_flip=True)
     assert eq(endo.u.element, f) and eq(endo.u_tilde, u(-1)) and endo.verified
     endo = make_inner_phi(level1_swap, with_flip=False)
-    assert eq(endo.u_tilde, mul(mul(f, u()), f)) and endo.verified
+    assert eq(endo.u_tilde, f * u() * f) and endo.verified
 
 
 def test_enumerate_modes():
@@ -229,7 +226,7 @@ def test_enumerate_parallel_matches_serial():
 def test_constructive_family_dispatch():
     assert len(constructive_family(3, u(4))) == 24
     assert len(constructive_family(3, mixed_template(3, 1, 2))) == 4
-    inner = mul(mul(pu2("(1 2)").element, u()), adjoint_el(pu2("(1 2)").element))
+    inner = pu2("(1 2)").element * u() * pu2("(1 2)").element.adjoint()
     fam = constructive_family(3, inner)
     assert len(fam) == 1 and check_extension(fam[0], inner)
 
@@ -258,8 +255,8 @@ def test_lambda_apply_multiplicative(p1, p2):
     endo = extend(pu2("(2 3)"), u(2))
     e1 = perm_unitary(2, tuple(p1)).element
     e2 = perm_unitary(2, tuple(p2)).element
-    assert eq(lambda_apply(endo, mul(e1, e2)),
-              mul(lambda_apply(endo, e1), lambda_apply(endo, e2)))
+    assert eq(lambda_apply(endo, e1 * e2),
+              lambda_apply(endo, e1) * lambda_apply(endo, e2))
 
 
 def test_automorphism_probe():
@@ -281,10 +278,10 @@ def test_probe_witness_inverts():
     # stabilization witness v satisfies lambda_v(lambda_u(x)) = x on generators
     pu = perm_unitary_from_element(f, 2)
     res = automorphism_probe(pu)
-    endo_u = extend(pu, adjoint_el(u()))
+    endo_u = extend(pu, u().adjoint())
     assert endo_u.verified
     v = perm_unitary_from_element(res.witness)
-    endo_v = extend(v, adjoint_el(u()))
+    endo_v = extend(v, u().adjoint())
     assert endo_v.verified
     for text in ("S[1]", "S[2]"):
         e = parse_element(text)
