@@ -1,7 +1,12 @@
 """Finite rational combinations of monomials, with exact normal forms.
 
 An Element is a collected map Monomial -> nonzero coefficient (int or
-Fraction).  All arithmetic is exact.
+Fraction).  All arithmetic is exact.  A product scales each operand's
+coefficients to int numerators over the lcm of its denominators, sums int
+products per output term, and divides each distinct sum by the product of
+the two denominators once, at the end.  So an integral coefficient may come
+back as an int or as a Fraction; the two compare and hash equal, and every
+printer goes through Fraction.
 
 Structural code reads the refined form: a term is expanded (expand_right)
 only while its beta is a proper prefix of some beta present in the elements
@@ -24,7 +29,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from math import lcm
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import (Monomial, ONE, adjoint_mono, expand_right, mono_str,
@@ -33,6 +40,8 @@ from .words import (Word, carets, decode, is_partition, offset, parse_word,
                     word_str)
 
 Coeff = object  # int | Fraction, kept exact throughout
+
+_denominator = attrgetter("denominator")
 
 # normalize refuses to write more terms than this (2^16: every beta of an
 # element brought 16 letters deeper)
@@ -107,11 +116,17 @@ class Element:
         # words as (|w|, t(w)): b1 is a prefix of a2 iff |b1| <= |a2| and
         # the low |b1| bits of t(a2) are t(b1), and the suffix past it has
         # offset t(a2) >> |b1|.  Each word is encoded once, and an
-        # orthogonal pair costs one compare and no call.
-        right = [(len(a2), offset(a2), k2, b2, c2)
+        # orthogonal pair costs one compare and no call.  Coefficients as
+        # int numerators over one denominator per operand: a pair costs an
+        # int product, and each distinct sum becomes a Fraction once.
+        d1 = lcm(*map(_denominator, self.terms.values()))
+        d2 = lcm(*map(_denominator, other.terms.values()))
+        right = [(len(a2), offset(a2), k2, b2,
+                  c2.numerator * (d2 // c2.denominator))
                  for (a2, k2, b2), c2 in other.terms.items()]
-        acc: Dict[Monomial, Coeff] = {}
+        acc: Dict[Monomial, int] = {}
         for (a1, k1, b1), c1 in self.terms.items():
+            c1 = c1.numerator * (d1 // c1.denominator)
             n1, t1 = len(b1), offset(b1)
             mask1 = (1 << n1) - 1
             for n2, t2, k2, b2, c2 in right:
@@ -129,7 +144,6 @@ class Element:
                     n = n1 - n2
                     q, t = divmod((t1 >> n2) - k2, 1 << n)
                     m = Monomial(a1, k1 - q, b2 + decode(n, t))
-                # most products are new: skip the int + Fraction addition
                 c = c1 * c2
                 old = acc.get(m)
                 new = c if old is None else old + c
@@ -137,6 +151,10 @@ class Element:
                     acc[m] = new
                 else:
                     acc.pop(m, None)
+        d = d1 * d2
+        if d != 1:
+            fracs = {n: Fraction(n, d) for n in set(acc.values())}
+            acc = {m: fracs[n] for m, n in acc.items()}
         return Element(acc)
 
     def scale(self, c: Coeff) -> "Element":
@@ -196,25 +214,18 @@ def normalize(e: Element, depth: Optional[int] = None) -> Element:
     if sum(1 << min(depth - len(m.beta), 17) for m in e.terms) > _MAX_TERMS:
         raise CapacityError(f"the form at depth {depth} has over "
                             f"{_MAX_TERMS} terms")
-    # the carets of the uniform form: every b + x with |x| < depth - |b|
-    inner: Set[Word] = set()
-    level = {m.beta for m in e.terms if len(m.beta) < depth}
-    while level:
-        inner |= level
-        level = {w + (letter,) for w in level if len(w) + 1 < depth
-                 for letter in (1, 2)}
-    return Element(_expand(e, inner))
+    return Element(_expand(e, lambda beta: len(beta) < depth))
 
 
-def _expand(e: Element, inner: Set[Word]) -> Dict[Monomial, Coeff]:
-    """The collected term map of e with each term expanded while its beta
-    is in inner."""
+def _expand(e: Element, inner: Callable[[Word], bool]) -> Dict[Monomial, Coeff]:
+    """The collected term map of e with each term expanded while
+    inner(beta) holds."""
     acc: Dict[Monomial, Coeff] = {}
     for m, c in e.terms.items():
         stack = [m]
         while stack:
             cur = stack.pop()
-            if cur.beta in inner:
+            if inner(cur.beta):
                 stack.extend(expand_right(cur))
                 continue
             # most leaves are new: skip the int + Fraction addition
@@ -231,7 +242,7 @@ def _refine(*es: Element) -> List[Dict[Monomial, Coeff]]:
     """The collected term maps of the elements on the common refinement of
     all their beta words: each term is expanded while its beta is a proper
     prefix of some beta present, so the betas left are prefix-free."""
-    inner = carets({m.beta for e in es for m in e.terms})
+    inner = carets({m.beta for e in es for m in e.terms}).__contains__
     return [_expand(e, inner) for e in es]
 
 

@@ -104,6 +104,20 @@ class PermUnitary(NamedTuple):
         return Element({Monomial(words[self.perm[i]], 0, words[i]): 1
                         for i in range(len(words))})
 
+    def s_images(self) -> Tuple[Element, Element]:
+        """(u S_1, u S_2), read off the permutation: for level k >= 1,
+        u S_i = sum_y S_rho(iy) S_y* with y over the length-(k-1) words,
+        and iy has lex index j for i = 1 and half + j for i = 2 when y has
+        index j.  At level 0, u = 1 and u S_i = S_i."""
+        if self.level == 0:
+            return s((1,)), s((2,))
+        words = all_words(self.level)
+        ys = all_words(self.level - 1)
+        half = len(ys)
+        return tuple(Element({Monomial(words[self.perm[start + j]], 0, y): 1
+                              for j, y in enumerate(ys)})
+                     for start in (0, half))
+
     def cycles(self) -> str:
         return perm_to_cycles(self.perm)
 
@@ -141,9 +155,7 @@ def check_extension_parts(pu: PermUnitary, u_tilde: Element) -> Tuple[bool, bool
     """(ext1, ext2) truth values for the candidate image of U."""
     if not is_unitary(u_tilde):
         raise DomainError("candidate image of U must be unitary")
-    u_el = pu.element
-    s1t = u_el * s((1,))
-    s2t = u_el * s((2,))
+    s1t, s2t = pu.s_images()
     ext1 = eq(u_tilde * s2t, s1t)
     ext2 = eq(u_tilde * s1t, s2t * u_tilde)
     return ext1, ext2
@@ -493,8 +505,7 @@ def lambda_apply(endo: ExtendedEndo, e: Element) -> Element:
     U -> the verified template, extended multiplicatively."""
     if not endo.verified:
         raise DomainError("endomorphism is not verified; refusing to apply")
-    u_el = endo.u.element
-    images = {1: u_el * s((1,)), 2: u_el * s((2,))}
+    images = dict(zip((1, 2), endo.u.s_images()))
     ut, ut_star = endo.u_tilde, endo.u_tilde.adjoint()
     out = Element()
     for m, c in e.terms.items():

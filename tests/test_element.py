@@ -95,7 +95,13 @@ def test_mul_matches_composed_action(e1, e2, points):
 
 
 long_words = st.lists(st.sampled_from((1, 2)), max_size=24).map(tuple)
-product_coeffs = st.one_of(st.integers(-3, 3).filter(bool), coeffs)
+numerators = st.integers(-3, 3).filter(bool)
+# ints, integral Fractions, and Fractions over coprime or large denominators
+product_coeffs = st.one_of(
+    numerators,
+    numerators.map(Fraction),
+    st.builds(Fraction, numerators,
+              st.sampled_from((2, 3, 7, 9, 1 << 20)) | st.integers(2, 1 << 20)))
 
 
 @st.composite
@@ -103,8 +109,12 @@ def product_operands(draw):
     """Two elements whose words are cut from a few stems of up to 24
     letters and extended, so that most term pairs meet and the offsets
     run past a machine word's low bits; charges reach 2^40.  The partner
-    is independent, -e1 or e1*, and e1 may carry one term next to the
-    negated halves of its expansion, so that products cancel."""
+    is independent, -e1, e1* or meeting: its first alpha is e1's first
+    beta.  Either element may carry its first term next to the two halves
+    of that term's expansion, negated or not, and a meeting pair always
+    does, so that products collide: their sums cancel, add up
+    (1/2 + 1/2) to an integer, or cancel and come back later in the pair
+    order."""
     stems = draw(st.lists(long_words, min_size=1, max_size=3))
 
     def word():
@@ -112,21 +122,29 @@ def product_operands(draw):
         w = w[:draw(st.integers(0, len(w)))]
         return w + draw(long_words)[:24 - len(w)]
 
-    def element():
-        return Element.from_terms(
+    def element(first_alpha=None, halves=False):
+        alphas = [word() if first_alpha is None else first_alpha]
+        alphas += [word() for _ in range(4)]
+        e = Element.from_terms(
             (draw(product_coeffs),
-             Monomial(word(), draw(st.integers(-2**40, 2**40)), word()))
-            for _ in range(draw(st.integers(0, 5))))
+             Monomial(alpha, draw(st.integers(-2**40, 2**40)), word()))
+            for alpha in alphas[:draw(st.integers(0, 5))])
+        if e.terms and (halves or draw(st.booleans())):
+            m, c = next(iter(e.terms.items()))
+            c *= draw(st.sampled_from((-1, 1)))
+            e = e + Element.from_terms((c, p) for p in expand_right(m))
+        return e
 
-    e1 = element()
-    if e1.terms and draw(st.booleans()):
-        m, c = next(iter(e1.terms.items()))
-        e1 = e1 + Element.from_terms((-c, p) for p in expand_right(m))
-    partner = draw(st.sampled_from(("independent", "negated", "adjoint")))
+    partner = draw(st.sampled_from(("independent", "meeting", "negated",
+                                    "adjoint")))
+    meeting = partner == "meeting"
+    e1 = element(halves=meeting)
     if partner == "negated":
         return e1, -e1
     if partner == "adjoint":
         return e1, e1.adjoint()
+    if meeting and e1.terms:
+        return e1, element(next(iter(e1.terms)).beta, halves=True)
     return e1, element()
 
 
@@ -140,6 +158,31 @@ def test_mul_matches_mono_mul_sum(operands):
                              for m2, c2 in e2.terms.items()
                              for m in [mono_mul(m1, m2)] if m is not None)
     assert list((e1 * e2).terms.items()) == list(ref.terms.items())
+
+
+def test_mul_fraction_budget(monkeypatch):
+    # the product's pair loop works on ints: an integral product builds no
+    # Fraction, a fractional one at most one per distinct coefficient
+    wide = normalize(u(3), 6)
+    cases = [(wide, wide.adjoint(), 0),
+             (F, parse_element("P[1] + S[2] U S*[2]"), 0)]
+    frac = wide.scale(Fraction(1, 3)) + normalize(u(), 6).scale(Fraction(-2, 7))
+    for e1, e2 in [(frac, wide.adjoint().scale(Fraction(5, 9))),
+                   (frac, frac.adjoint())]:
+        assert len(e1.terms) * len(e2.terms) >= 8000
+        cases.append((e1, e2, len(set((e1 * e2).terms.values()))))
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for e1, e2, budget in cases:
+        built.clear()
+        e1 * e2
+        assert len(built) <= budget
 
 
 @given(elements, st.integers(1, 3), st.lists(indices, min_size=3, max_size=5))

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 from math import factorial
 
@@ -12,9 +13,11 @@ from qu2.element import (
     one,
     parse_element,
     phi,
+    s,
     u,
 )
 from qu2.endo import (
+    PermUnitary,
     automorphism_probe,
     check_extension,
     check_extension_parts,
@@ -88,6 +91,30 @@ def test_check_extension_level2_cases():
     assert check_extension(pu2("id"), u())
     with pytest.raises(DomainError):
         check_extension(pu2("id"), parse_element("S[2]"))
+
+
+def test_s_images_match_products():
+    # u S_i read off the permutation equals the product, term for term
+    rng = random.Random(3)
+    level3 = []
+    for _ in range(200):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        level3.append(PermUnitary(3, tuple(perm)))
+    cases = [PermUnitary(k, perm) for k in range(3)
+             for perm in permutations(range(1 << k))] + level3
+    for pu in cases:
+        assert pu.s_images() == (pu.element * s((1,)), pu.element * s((2,)))
+
+
+def test_level0_extension():
+    # at level 0, u = 1 and u S_i = S_i: only U itself extends
+    pu = PermUnitary(0, (0,))
+    assert check_extension(pu, u())
+    assert not check_extension(pu, u(-1))
+    assert not check_extension(pu, flip_flop())
+    assert enumerate_extendible(0, u(-1)) == []
+    assert enumerate_extendible(0, u()) == [pu]
 
 
 LEVEL2_TABLE = [
