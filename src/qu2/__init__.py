@@ -12,13 +12,11 @@ from .words import (
     Word,
     all_words,
     decode,
-    encode,
     flip,
     is_partition,
     is_prefix,
     lex_index,
     parse_word,
-    word_by_lex_index,
     word_str,
 )
 from .monomial import (
@@ -26,7 +24,6 @@ from .monomial import (
     ONE,
     adjoint_mono,
     expand_right,
-    mono_apply,
     mono_mul,
     mono_str,
     parse_mono,

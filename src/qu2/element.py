@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import (Monomial, ONE, adjoint_mono, expand_right, mono_str,
-                       u_pow)
+                       new_monomial, u_pow)
 from .words import (Word, carets, decode, is_partition, offset, parse_word,
                     word_str)
 
@@ -116,9 +116,11 @@ class Element:
         # words as (|w|, t(w)): b1 is a prefix of a2 iff |b1| <= |a2| and
         # the low |b1| bits of t(a2) are t(b1), and the suffix past it has
         # offset t(a2) >> |b1|.  Each word is encoded once, and an
-        # orthogonal pair costs one compare and no call.  Coefficients as
-        # int numerators over one denominator per operand: a pair costs an
-        # int product, and each distinct sum becomes a Fraction once.
+        # orthogonal pair costs one compare and no call.  A meeting pair
+        # reads its suffix word from the word table (decode) and builds its
+        # term in C (new_monomial).  Coefficients as int numerators over
+        # one denominator per operand: a pair costs an int product, and
+        # each distinct sum becomes a Fraction once.
         d1 = lcm(*map(_denominator, self.terms.values()))
         d2 = lcm(*map(_denominator, other.terms.values()))
         right = [(len(a2), offset(a2), k2, b2,
@@ -136,14 +138,14 @@ class Element:
                     # S_b1* S_a2 = S_g, then U^k1 S_g = S_g2 U^q
                     n = n2 - n1
                     q, t = divmod((t2 >> n1) + k1, 1 << n)
-                    m = Monomial(a1 + decode(n, t), q + k2, b2)
+                    m = new_monomial((a1 + decode(n, t), q + k2, b2))
                 else:
                     if t1 & ((1 << n2) - 1) != t2:
                         continue
                     # S_b1* S_a2 = S_d*, then S_d* U^k2 = U^-q S_d2*
                     n = n1 - n2
                     q, t = divmod((t1 >> n2) - k2, 1 << n)
-                    m = Monomial(a1, k1 - q, b2 + decode(n, t))
+                    m = new_monomial((a1, k1 - q, b2 + decode(n, t)))
                 c = c1 * c2
                 old = acc.get(m)
                 new = c if old is None else old + c
@@ -249,6 +251,9 @@ def _refine(*es: Element) -> List[Dict[Monomial, Coeff]]:
 def eq(e1: Element, e2: Element) -> bool:
     """Operator equality: the refined term maps on the common refinement
     of both elements' beta words coincide."""
+    # equal stored terms are the same operator: nothing to refine
+    if e1.terms == e2.terms:
+        return True
     f1, f2 = _refine(e1, e2)
     return f1 == f2
 

@@ -15,6 +15,7 @@ represented by None.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import ParseError
@@ -26,6 +27,11 @@ class Monomial(NamedTuple):
     k: int
     beta: Word
 
+
+# A Monomial from one (alpha, k, beta) tuple, built by tuple.__new__ in C:
+# the NamedTuple's own __new__ is a Python-level function, and the product
+# and expand_right build a triple per output term
+new_monomial = partial(tuple.__new__, Monomial)
 
 ONE = Monomial((), 0, ())
 
@@ -72,20 +78,10 @@ def expand_right(m: Monomial) -> Tuple[Monomial, Monomial]:
     a, k, b = m
     half, odd = divmod(k, 2)
     if odd:
-        return (Monomial(a + (1,), half, b + (2,)),
-                Monomial(a + (2,), half + 1, b + (1,)))
-    return (Monomial(a + (1,), half, b + (1,)),
-            Monomial(a + (2,), half, b + (2,)))
-
-
-def mono_apply(m: Monomial, n: int) -> Optional[int]:
-    """Image index of basis vector n, or None when the monomial kills it."""
-    a, k, b = m
-    block = 1 << len(b)
-    r = n - offset(b)
-    if r % block:
-        return None
-    return ((r // block + k) << len(a)) + offset(a)
+        return (new_monomial((a + (1,), half, b + (2,))),
+                new_monomial((a + (2,), half + 1, b + (1,))))
+    return (new_monomial((a + (1,), half, b + (1,))),
+            new_monomial((a + (2,), half, b + (2,))))
 
 
 def mono_str(m: Monomial) -> str:

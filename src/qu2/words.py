@@ -2,8 +2,13 @@
 
 A word labels a composite isometry S_w = S_{w_1} S_{w_2} ... S_{w_n}; on the
 integer basis S_w acts by m |-> 2^|w| * m + t(w) where the offset t(w) reads
-the word as a dyadic expansion, leftmost letter least significant, with
-digit(1) = 1 and digit(2) = 0.
+the word as a dyadic expansion, leftmost letter least significant, with the
+letter 1 carrying the digit 1 and the letter 2 the digit 0.  The pair
+(|w|, t(w)) determines the word.
+
+The words of up to _TABLE_LEN letters sit in one table built at import,
+indexed [length][offset], with an inverse dict from word to offset; decode
+and offset answer from it and read longer words through bytes.translate.
 """
 
 from __future__ import annotations
@@ -16,40 +21,43 @@ Word = Tuple[int, ...]
 
 EMPTY: Word = ()
 
+# the words of length n + 1 by doubling: those of length n with a 2
+# appended (offsets below 2^n), then with a 1 appended (its digit is the
+# top bit)
+_TABLE_LEN = 8
+_TABLE: list[list[Word]] = [[EMPTY]]
+for _n in range(_TABLE_LEN):
+    _TABLE.append([w + (2,) for w in _TABLE[-1]] + [w + (1,) for w in _TABLE[-1]])
+_OFFSETS = {w: t for row in _TABLE for t, w in enumerate(row)}
 
-def digit(letter: int) -> int:
-    """Binary digit carried by a letter: 1 -> 1, 2 -> 0."""
-    if letter == 1:
-        return 1
-    if letter == 2:
-        return 0
-    raise DomainError(f"letter must be 1 or 2, got {letter!r}")
+# bytes.translate tables: digit characters to letters ("1" -> 1, "0" -> 2),
+# and letters to digit characters, every other byte to a non-digit
+_LETTERS = bytes.maketrans(b"01", b"\x02\x01")
+_DIGITS = b"x10" + b"x" * 253
 
 
 def offset(w: Word) -> int:
-    """t(w) = sum_j digit(w_j) * 2^(j-1), leftmost letter least significant."""
-    t = 0
-    for j, letter in enumerate(w):
-        t += digit(letter) << j
-    return t
-
-
-def encode(w: Word) -> Tuple[int, int]:
-    """Return (|w|, t(w)); the pair determines the word uniquely."""
-    return len(w), offset(w)
-
-
-# bytes.translate table taking the digit characters to letters: "1" -> 1,
-# "0" -> 2
-_LETTERS = bytes.maketrans(b"01", b"\x02\x01")
+    """t(w) = sum_j [w_j = 1] * 2^(j-1), leftmost letter least significant."""
+    t = _OFFSETS.get(w)
+    if t is not None:
+        return t
+    try:
+        # the digits most significant first; a letter other than 1 or 2
+        # becomes "x", which int refuses, or fails in bytes()
+        return int(bytes(w).translate(_DIGITS)[::-1], 2)
+    except (TypeError, ValueError):
+        raise DomainError(f"letters must be 1 or 2, got {w!r}") from None
 
 
 def decode(length: int, off: int) -> Word:
-    """Inverse of encode; raises DomainError when off is out of range."""
+    """The word with |w| = length and t(w) = off; raises DomainError when
+    off is out of range."""
     if length < 0:
         raise DomainError(f"word length must be >= 0, got {length}")
     if not 0 <= off < (1 << length):
         raise DomainError(f"offset {off} out of range for length {length}")
+    if length <= _TABLE_LEN:
+        return _TABLE[length][off]
     # the binary digits with a sentinel top bit, least significant first
     return tuple(format(off | 1 << length, "b")[:0:-1].encode()
                  .translate(_LETTERS))
@@ -101,12 +109,6 @@ def lex_index(w: Word) -> int:
     for letter in w:
         i = (i << 1) | (letter - 1)
     return i
-
-
-def word_by_lex_index(length: int, i: int) -> Word:
-    if not 0 <= i < (1 << length):
-        raise DomainError(f"lex index {i} out of range for length {length}")
-    return tuple(1 + ((i >> (length - 1 - j)) & 1) for j in range(length))
 
 
 def flip(w: Word) -> Word:

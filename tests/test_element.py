@@ -160,6 +160,20 @@ def test_mul_matches_mono_mul_sum(operands):
     assert list((e1 * e2).terms.items()) == list(ref.terms.items())
 
 
+@settings(max_examples=100, deadline=None)
+@given(product_operands())
+def test_built_terms_are_monomials(operands):
+    # a plain tuple hashes and compares equal to a Monomial, so the tests
+    # above would pass a constructor that dropped the type
+    e1, e2 = operands
+    built = list((e1 * e2).terms)
+    for m in e1.terms:
+        built += expand_right(m)
+    for m in built:
+        assert type(m) is Monomial
+        assert (m.alpha, m.k, m.beta) == tuple(m)
+
+
 def test_mul_fraction_budget(monkeypatch):
     # the product's pair loop works on ints: an integral product builds no
     # Fraction, a fractional one at most one per distinct coefficient

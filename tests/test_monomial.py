@@ -8,7 +8,6 @@ from qu2.monomial import (
     ONE,
     adjoint_mono,
     expand_right,
-    mono_apply,
     mono_mul,
     mono_str,
     parse_mono,
@@ -102,12 +101,6 @@ def test_expand_right_examples():
         Monomial((1,), 0, (2,)),
         Monomial((2,), 1, (1,)),
     )
-
-
-def test_mono_apply():
-    assert mono_apply(u_pow(1), 5) == 6
-    assert mono_apply(parse_mono("S[2] U S*[1]"), 3) == 4
-    assert mono_apply(Monomial((), 0, (1,)), 2) is None
 
 
 def test_str_round_trip():

@@ -6,14 +6,12 @@ from qu2.words import (
     all_words,
     carets,
     decode,
-    encode,
     flip,
     is_partition,
     is_prefix,
     lex_index,
     offset,
     parse_word,
-    word_by_lex_index,
     word_str,
 )
 
@@ -21,7 +19,8 @@ words = st.lists(st.sampled_from((1, 2)), max_size=8).map(tuple)
 
 
 def test_offset_examples():
-    # leftmost letter is the least significant bit, digit(1)=1, digit(2)=0
+    # leftmost letter is the least significant bit: 1 carries the digit 1,
+    # 2 the digit 0
     assert offset(()) == 0
     assert offset((1,)) == 1
     assert offset((2,)) == 0
@@ -32,22 +31,43 @@ def test_offset_examples():
 
 
 @given(words)
-def test_decode_inverts_encode(w):
-    assert decode(*encode(w)) == w
+def test_decode_inverts_offset(w):
+    assert decode(len(w), offset(w)) == w
 
 
 @given(st.integers(0, 64).flatmap(
     lambda length: st.tuples(st.just(length), st.integers(0, (1 << length) - 1))))
-def test_encode_inverts_decode(code):
+def test_offset_inverts_decode(code):
     length, n = code
-    assert encode(decode(length, n)) == (length, n)
+    w = decode(length, n)
+    assert (len(w), offset(w)) == (length, n)
+
+
+def test_round_trip_across_table_length():
+    # every word up to 12 letters, so lengths inside and past the word
+    # table are both read, against the defining sum
+    for length in range(13):
+        ws = all_words(length)
+        offs = [offset(w) for w in ws]
+        assert offs == [sum((letter == 1) << j for j, letter in enumerate(w))
+                        for w in ws]
+        assert [decode(length, t) for t in offs] == ws
 
 
 def test_decode_range_checked():
-    with pytest.raises(DomainError):
-        decode(2, 4)
-    with pytest.raises(DomainError):
-        decode(-1, 0)
+    # (2, -1) would index the word table from its end without the check
+    for length, n in [(2, 4), (2, -1), (-1, 0), (12, 1 << 12), (12, -1)]:
+        with pytest.raises(DomainError):
+            decode(length, n)
+
+
+def test_offset_rejects_bad_letters():
+    # inside the table's length and past it, where "0" and "1" as letters
+    # (48, 49) must not read as digits
+    for w in [(1, 3), (0,), (1,) * 11 + (3,), (2,) * 11 + (48,),
+              (1,) * 11 + (49,), (1,) * 11 + (-1,), (1,) * 11 + ("1",)]:
+        with pytest.raises(DomainError):
+            offset(w)
 
 
 def test_prefix():
@@ -128,7 +148,6 @@ def test_lex_order():
         assert sorted(ws) == ws
         for i, w in enumerate(ws):
             assert lex_index(w) == i
-            assert word_by_lex_index(k, i) == w
 
 
 def test_flip():
