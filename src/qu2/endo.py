@@ -155,10 +155,13 @@ def check_extension_parts(pu: PermUnitary, u_tilde: Element) -> Tuple[bool, bool
     """(ext1, ext2) truth values for the candidate image of U."""
     if not is_unitary(u_tilde):
         raise DomainError("candidate image of U must be unitary")
+    return _extension_parts(pu, u_tilde)
+
+
+def _extension_parts(pu: PermUnitary, u_tilde: Element) -> Tuple[bool, bool]:
+    """(ext1, ext2) for a candidate the caller has checked is unitary."""
     s1t, s2t = pu.s_images()
-    ext1 = eq(u_tilde * s2t, s1t)
-    ext2 = eq(u_tilde * s1t, s2t * u_tilde)
-    return ext1, ext2
+    return eq(u_tilde * s2t, s1t), eq(u_tilde * s1t, s2t * u_tilde)
 
 
 def check_extension(pu: PermUnitary, u_tilde: Element) -> bool:
@@ -386,11 +389,12 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
 
     brute mode is a complete classification (k <= 3): ext1 forces rho on the
     words 1y from rho on the words 2y, a search over the 2-half prunes every
-    collision, and check_extension verifies each survivor.  constructive
-    mode replays the closed-form family attached to the template (kind, as
-    given by parse_template, skips the menu scan) and raises a domain error
-    for templates with no such family.  jobs is accepted for compatibility;
-    the search is serial.
+    collision, and both extension equations are checked on each survivor,
+    as check_extension does, with the template checked for unitarity once.
+    constructive mode replays the closed-form family attached to the
+    template (kind, as given by parse_template, skips the menu scan) and
+    raises a domain error for templates with no such family.  jobs is
+    accepted for compatibility; the search is serial.
     """
     if mode == "constructive":
         return constructive_family(k, template, kind)
@@ -405,7 +409,7 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
     if not is_unitary(template):
         raise DomainError("candidate image of U must be unitary")
     found = sorted(perm for perm in _ext1_candidates(k, template)
-                   if check_extension(PermUnitary(k, perm), template))
+                   if all(_extension_parts(PermUnitary(k, perm), template)))
     return [PermUnitary(k, perm) for perm in found]
 
 

@@ -2,8 +2,15 @@
 
 A diagram (T+, T-, tau, v) encodes the unitary sum over leaves p of
 S_{leaf_p(T+)} U^{v(p)} S_{leaf_{tau(p)}(T-)}*.  These unitaries form a
-group under multiplication; this module converts between diagrams and
-Elements, reduces diagrams to minimal form, and draws them.
+group under multiplication; this module multiplies, inverts and reduces
+diagrams, converts between diagrams and Elements, and draws them.
+
+The group works on leaf maps, one (alpha, k, beta) triple per leaf: a
+product walks the leaves of T1- and T2+ together in lex order, one output
+leaf per step, and a reduction merges sibling leaves in one pass over the
+leaves in lex order.  Neither builds an Element: to_element and
+from_element are the bridge to the algebra, for the CLI and for checking
+the group against the operator product.
 
 Trees are nested pairs: a leaf is 0, an interior node is (left, right).
 The left child extends a leaf word by the letter 1, the right child by 2,
@@ -13,13 +20,12 @@ so left-to-right leaf order is lex order.  tau is stored 0-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .element import Element, _unitary_terms
 from .errors import CapacityError, DomainError, ParseError
-from .monomial import Monomial, expand_right
-from .words import Word, carets, is_partition
+from .monomial import Monomial
+from .words import Word, decode, is_partition, offset
 
 Tree = object  # 0 for a leaf, (Tree, Tree) for an interior node
 
@@ -90,21 +96,29 @@ def tree_from_obj(obj, depth: int = 0) -> Tree:
     raise ParseError(f"bad tree node {obj!r}")
 
 
-@dataclass(frozen=True)
-class Diagram:
+class _DiagramFields(NamedTuple):
     t_plus: Tree
     t_minus: Tree
     tau: Tuple[int, ...]  # leaf p of t_plus pairs with leaf tau[p] of t_minus
     v: Tuple[int, ...]    # charge on leaf p of t_plus
 
-    def __post_init__(self):
-        n = _leaf_count(self.t_plus)
-        if _leaf_count(self.t_minus) != n:
+
+class Diagram(_DiagramFields):
+    """A tree-pair diagram, checked when built: equal leaf counts, tau a
+    permutation of the leaves and one charge per leaf."""
+
+    __slots__ = ()
+
+    def __new__(cls, t_plus: Tree, t_minus: Tree, tau: Tuple[int, ...],
+                v: Tuple[int, ...]):
+        n = _leaf_count(t_plus)
+        if _leaf_count(t_minus) != n:
             raise DomainError("leaf counts differ")
-        if sorted(self.tau) != list(range(n)):
+        if sorted(tau) != list(range(n)):
             raise DomainError("tau is not a permutation of the leaves")
-        if len(self.v) != n:
+        if len(v) != n:
             raise DomainError("charge vector length does not match leaf count")
+        return tuple.__new__(cls, (t_plus, t_minus, tau, v))
 
     def leaf_count(self) -> int:
         return len(self.v)
@@ -114,30 +128,35 @@ def identity_diagram() -> Diagram:
     return Diagram(LEAF, LEAF, (0,), (0,))
 
 
-# term maps -------------------------------------------------------------------
+# leaf maps -------------------------------------------------------------------
 
-# {alpha leaf: (charge, beta leaf)}, one entry per leaf of T+
-Terms = Dict[Word, Tuple[int, Word]]
+# one (alpha, k, beta) triple per leaf of T+, in lex order of alpha: alpha the
+# T+ leaf, k its charge, beta the T- leaf paired with it
+Leaf = Tuple[Word, int, Word]
 
 
-def _terms(d: Diagram) -> Terms:
+def _leaf_map(d: Diagram) -> List[Leaf]:
     minus = leaves(d.t_minus)
-    return {a: (k, minus[q]) for a, k, q in zip(leaves(d.t_plus), d.v, d.tau)}
+    return [(a, k, minus[q]) for a, k, q in zip(leaves(d.t_plus), d.v, d.tau)]
 
 
-def _diagram(terms: Terms) -> Diagram:
-    """The diagram of a term map whose alpha words and beta words each form
-    a partition; the callers have checked that."""
-    alphas = sorted(terms)
-    betas = sorted(b for _k, b in terms.values())
-    t_plus, t_minus = _tree(alphas), _tree(betas)
-    b_index = {w: q for q, w in enumerate(betas)}
-    return Diagram(t_plus, t_minus, tuple(b_index[terms[a][1]] for a in alphas),
-                   tuple(terms[a][0] for a in alphas))
+def _check_depth(terms: List[Leaf]) -> None:
+    if max(max(len(a), len(b)) for a, _k, b in terms) > _MAX_TREE_DEPTH:
+        raise CapacityError(f"the diagram is deeper than {_MAX_TREE_DEPTH} levels")
+
+
+def _diagram(terms: List[Leaf]) -> Diagram:
+    """The diagram of a leaf map in lex order of alpha whose alpha words and
+    beta words each form a partition; the callers have checked that."""
+    alphas, ks, betas = zip(*terms)
+    minus = sorted(betas)
+    b_index = {w: q for q, w in enumerate(minus)}
+    tau = tuple(map(b_index.__getitem__, betas))
+    return Diagram(_tree(alphas), _tree(minus), tau, ks)
 
 
 def to_element(d: Diagram) -> Element:
-    return Element({Monomial(a, k, b): 1 for a, (k, b) in _terms(d).items()})
+    return Element({Monomial(a, k, b): 1 for a, k, b in _leaf_map(d)})
 
 
 def from_element(e: Element) -> Diagram:
@@ -146,40 +165,94 @@ def from_element(e: Element) -> Diagram:
     stored form that is already a tree pair is its own refined form.
     Anything else is not a W element, and a word longer than
     _MAX_TREE_DEPTH is a CapacityError."""
-    f = _unitary_terms(e, "a diagram")
-    if max(len(w) for m in f for w in (m.alpha, m.beta)) > _MAX_TREE_DEPTH:
-        raise CapacityError(f"the diagram is deeper than {_MAX_TREE_DEPTH} levels")
-    return _diagram({m.alpha: (m.k, m.beta) for m in f})
+    terms = sorted(_unitary_terms(e, "a diagram"))
+    _check_depth(terms)
+    return _diagram(terms)
 
 
 # reduction ------------------------------------------------------------------
 
-def reduce(d: Diagram) -> Diagram:
-    """The reduced form: merge sibling leaves wherever they undo one
-    charge-parity split (expand_right), in one pass over the carets of T+.
+def _reduce(terms: List[Leaf]) -> List[Leaf]:
+    """The reduced leaf map: merge sibling leaves w1, w2 into w wherever
+    they undo one charge-parity split (expand_right),
 
-    A merge at caret w reads only the terms at w1 and w2, which change only
-    through merges at w1 and w2; visiting the carets deepest first settles
-    both before w, so no move is left after the pass.  Reduced forms are
-    unique, so this is the result of any order of moves.
+        even:  (w1, j, x1), (w2, j, x2)    -> (w, 2j, x)
+        odd:   (w1, j, x2), (w2, j + 1, x1) -> (w, 2j + 1, x),
+
+    in one pass over the leaves in lex order.  The stack holds the reduced
+    leaves left of the current one.  The leaf before w2 in lex order is the
+    last leaf below w1, so it is w1 itself exactly when it has w2's length,
+    and a merged w is checked against its own sibling in turn.  All of w1's
+    subtree is reduced before w2 arrives, so no move is missed; reduced
+    forms are unique, so this is the result of any order of moves.
     """
-    terms = _terms(d)
-    for w in sorted(carets(terms), key=len, reverse=True):
-        w1, w2 = w + (1,), w + (2,)
-        if w1 not in terms or w2 not in terms:
-            continue
-        (j1, b1), (j2, b2) = terms[w1], terms[w2]
-        parent = Monomial(w, j1 + j2, b1[:-1])
-        if expand_right(parent) == (Monomial(w1, j1, b1), Monomial(w2, j2, b2)):
-            del terms[w1], terms[w2]
-            terms[w] = (parent.k, parent.beta)
-    return _diagram(terms)
+    stack: List[Leaf] = []
+    for a, k, b in terms:
+        while a and a[-1] == 2:
+            a1, j1, b1 = stack[-1]
+            if len(a1) != len(a) or len(b1) != len(b) or b1[:-1] != b[:-1] \
+                    or k - j1 != b1[-1] - 1:
+                break
+            stack.pop()
+            a, k, b = a[:-1], j1 + k, b[:-1]
+        stack.append((a, k, b))
+    return stack
+
+
+def reduce(d: Diagram) -> Diagram:
+    """The reduced form: sibling leaves merged wherever they undo one
+    charge-parity split, until no merge is left (_reduce)."""
+    return _diagram(_reduce(_leaf_map(d)))
 
 
 # group structure -------------------------------------------------------------
 
+def _product(d1: Diagram, d2: Diagram) -> List[Leaf]:
+    """The leaf map of d1 d2, unreduced and in lex order of alpha.
+
+    The product sum_i S_a1 U^k1 S_b1* S_a2 U^k2 S_b2* keeps the pairs whose
+    inner words b1 (a leaf of T1-) and a2 (a leaf of T2+) are comparable.
+    Both are partitions, so walking their leaves together in lex order meets
+    each such pair once, and one word of each pair is a prefix of the other.
+    Words are read as (|w|, t(w)), as in Element.__mul__: for b1 a prefix of
+    a2 = b1 g, U^k1 S_g = S_g2 U^q, and for a2 a prefix of b1 = a2 d,
+    S_d* U^k2 = U^-q S_d2*, each by one divmod.  The shorter word stays for
+    the next step unless the longer one was the last leaf below it (g or d
+    all 2s, offset 0).  The alphas and betas written are partitions again.
+    """
+    minus1 = leaves(d1.t_minus)
+    left: List[Tuple[Word, int, int, int]] = [None] * len(minus1)
+    for a, k, q in zip(leaves(d1.t_plus), d1.v, d1.tau):
+        left[q] = (a, k, len(minus1[q]), offset(minus1[q]))
+    right = [(len(a), offset(a), k, b) for a, k, b in _leaf_map(d2)]
+    out: List[Leaf] = []
+    i = 0
+    for n2, t2, k2, b2 in right:
+        while True:
+            a1, k1, n1, t1 = left[i]
+            if n1 <= n2:
+                g = t2 >> n1
+                q, t = divmod(g + k1, 1 << (n2 - n1))
+                out.append((a1 + decode(n2 - n1, t), q + k2, b2))
+                if not g:
+                    i += 1
+                break
+            d = t1 >> n2
+            q, t = divmod(d - k2, 1 << (n1 - n2))
+            out.append((a1, k1 - q, b2 + decode(n1 - n2, t)))
+            i += 1
+            if not d:
+                break
+    out.sort()
+    return out
+
+
 def group_mul(d1: Diagram, d2: Diagram) -> Diagram:
-    return reduce(from_element(to_element(d1) * to_element(d2)))
+    """The reduced diagram of the product, computed on the leaf maps; a
+    product with a word longer than _MAX_TREE_DEPTH is a CapacityError."""
+    terms = _product(d1, d2)
+    _check_depth(terms)
+    return _diagram(_reduce(terms))
 
 
 def group_inv(d: Diagram) -> Diagram:

@@ -3,7 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qu2.errors import DomainError, ParseError
+import qu2.element
+import qu2.wgroup
+import qu2.words
+from qu2.errors import CapacityError, DomainError, ParseError
 from qu2.element import (
     Element,
     eq,
@@ -49,12 +52,12 @@ def trees_with(draw, n):
 
 
 @st.composite
-def diagrams(draw):
+def diagrams(draw, charges=st.integers(-10, 10)):
     n = draw(st.integers(1, 7))
     t_plus = draw(trees_with(n))
     t_minus = draw(trees_with(n))
     tau = tuple(draw(st.permutations(range(n))))
-    v = tuple(draw(st.lists(st.integers(-10, 10), min_size=n, max_size=n)))
+    v = tuple(draw(st.lists(charges, min_size=n, max_size=n)))
     return Diagram(t_plus, t_minus, tau, v)
 
 
@@ -215,6 +218,75 @@ def test_group_mul_matches_element_product(d1, d2):
     prod = group_mul(d1, d2)
     assert eq(to_element(prod), to_element(d1) * to_element(d2))
     assert prod == reduce(prod)
+
+
+def element_path(d1, d2):
+    """The product through the operator algebra: both diagrams as Elements,
+    their Element product, read back and reduced."""
+    return reduce(from_element(to_element(d1) * to_element(d2)))
+
+
+# small charges, and charges far past any word's offset range
+wide_diagrams = diagrams(st.one_of(st.integers(-10, 10),
+                                   st.integers(-2 ** 70, 2 ** 70)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(wide_diagrams, wide_diagrams, st.data())
+def test_group_mul_equals_element_path(d1, d2, data):
+    # unreduced operands too: leaves split again by expand_right
+    if data.draw(st.booleans()):
+        d1 = re_expand(d1, data.draw)
+    if data.draw(st.booleans()):
+        d2 = re_expand(d2, data.draw)
+    assert group_mul(d1, d2) == element_path(d1, d2)
+
+
+def test_group_mul_builds_no_element(monkeypatch):
+    d1 = from_element(normalize(to_element(D3), 3))  # unreduced
+    d2 = from_element(F)
+    want = element_path(d1, d2)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("group_mul went through the Element path")
+
+    monkeypatch.setattr(Element, "__init__", refuse)
+    monkeypatch.setattr(Element, "__mul__", refuse)
+    monkeypatch.setattr(qu2.element, "_refine", refuse)
+    monkeypatch.setattr(qu2.wgroup, "is_partition", refuse)
+    monkeypatch.setattr(qu2.words, "is_partition", refuse)
+    assert group_mul(d1, d2) == want
+
+
+def test_group_mul_large_is_linear():
+    # U^5 and U^-5 written out over all 4096 words of length 12: a product
+    # that pairs every term with every other takes 16.7M pair tests
+    d = from_element(normalize(u(5), 12))
+    inv = from_element(normalize(u(-5), 12))
+    with time_limit(1, "products of two 4096-leaf diagrams"):
+        assert group_mul(d, inv) == identity_diagram()
+        assert group_mul(d, d) == Diagram(0, 0, (0,), (10,))
+
+
+def combs(n):
+    """(right comb, left comb) with n carets: leaves 1, 21, ..., 2^n and
+    1^n, 1^(n-1) 2, ..., 2."""
+    right = left = 0
+    for _ in range(n):
+        right, left = (0, right), (left, 0)
+    return right, left
+
+
+def test_group_mul_deeper_than_the_cap_is_capacity_error():
+    # d d pairs the left comb's leaf 1^n with the right comb's leaf 1, so
+    # the product has words of 2n - 1 letters
+    right, left = combs(200)
+    d = Diagram(right, left, tuple(range(201)), (0,) * 201)
+    assert group_mul(d, d) == element_path(d, d)
+    right, left = combs(300)
+    d = Diagram(right, left, tuple(range(301)), (0,) * 301)
+    with pytest.raises(CapacityError, match="deeper than 512 levels"):
+        group_mul(d, d)
 
 
 @given(diagrams())
