@@ -87,6 +87,7 @@ from .endo import (
     check_extension_parts,
     constructive_family,
     enumerate_extendible,
+    enumerate_menu,
     enumerate_u_p,
     enumerate_u_sigma,
     extend,

@@ -42,6 +42,7 @@ from .endo import (
     automorphism_probe,
     check_extension_parts,
     enumerate_extendible,
+    enumerate_menu,
     extend,
     identity_perm,
     make_inner_phi,
@@ -54,7 +55,6 @@ from .endo import (
     perm_unitary_from_element,
     run_verify_counts,
     run_verify_table,
-    template_labels,
     u_templates_labeled,
 )
 
@@ -279,34 +279,24 @@ def cmd_construct(args):
 def cmd_enumerate(args):
     k = args.level
     if args.all_templates:
-        menu = ((label, parse_template(k, label))
-                for label in template_labels(k))
+        results = list(enumerate_menu(k, mode=args.mode, jobs=args.jobs))
     elif args.template:
-        menu = [(args.template, _parse_template_arg(args.template, k))]
+        kind, template = _parse_template_arg(args.template, k)
+        results = [(args.template, pu)
+                   for pu in enumerate_extendible(k, template, mode=args.mode,
+                                                  jobs=args.jobs, kind=kind)]
     else:
         raise DomainError("enumerate needs --template or --all-templates")
-    results = []
-    for label, (kind, template) in menu:
-        for pu in enumerate_extendible(k, template, mode=args.mode,
-                                       jobs=args.jobs, kind=kind):
-            results.append((label, pu))
-    lines = [
-        f"{label}\t{perm_to_cycles(pu.perm)}\t{element_str(pu.element)}"
-        for label, pu in results
-    ]
-    lines.append(f"{len(results)} results")
+    rows = [(label, perm_to_cycles(pu.perm), element_str(pu.element))
+            for label, pu in results]
+    lines = ["\t".join(row) for row in rows]
+    lines.append(f"{len(rows)} results")
     payload = {
         "level": k,
         "mode": args.mode,
-        "results": [
-            {
-                "template": label,
-                "cycles": perm_to_cycles(pu.perm),
-                "element": element_str(pu.element),
-            }
-            for label, pu in results
-        ],
-        "count": len(results),
+        "results": [{"template": label, "cycles": cycles, "element": text}
+                    for label, cycles, text in rows],
+        "count": len(rows),
     }
     _emit(args, lines, payload)
 

@@ -364,16 +364,15 @@ def element_str(e: Element) -> str:
         return "0"
     parts = []
     for m, c in e.sorted_terms():
-        cf = Fraction(c)
         body = mono_str(m)
-        if cf == 1:
+        if c == 1:
             parts.append(body)
-        elif cf == -1:
+        elif c == -1:
             parts.append(f"-1*{body}" if body != "1" else "-1")
         elif body == "1":
-            parts.append(_coeff_str(cf))
+            parts.append(_coeff_str(c))
         else:
-            parts.append(f"{_coeff_str(cf)}*{body}")
+            parts.append(f"{_coeff_str(c)}*{body}")
     return " + ".join(parts)
 
 

@@ -12,7 +12,8 @@ check_extension decides both equations by element arithmetic for any
 candidate Utilde; the constructive families (make_u_p, make_u_sigma,
 make_inner_phi) build unitaries that pass it for the standard template
 menu, and enumerate_extendible classifies all extendible permutations of a
-level by a search that ext1 prunes and check_extension verifies.
+level by a search that both equations prune, word by word, and that the
+extension checker verifies.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import re
 from math import factorial
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .element import (Element, _refine, eq, flip_flop, is_unitary, normalize,
-                      one, parse_element, phi, s, u)
+from .element import (Element, _add_terms, _refine, eq, flip_flop, is_unitary,
+                      normalize, one, parse_element, phi, s, total_charge, u)
 from .errors import CapacityError, DomainError, ParseError
-from .monomial import Monomial
-from .words import Word, all_words, lex_index
+from .monomial import Monomial, expand_right, new_monomial
+from .wgroup import from_element, reduce, to_element
+from .words import Word, all_words, decode, lex_index
 
 Perm = Tuple[int, ...]  # perm[i] = lex index of the image of the i-th word
 
@@ -220,13 +222,22 @@ def parse_template(k: int, label: str) -> Optional[Tuple[tuple, Element]]:
         raise DomainError(f"template menu needs level k >= 2, got {k}")
     pure, variant, h, star, cycles = m.groups()
     if pure:
-        sign = 1 if pure == "+" else -1
-        return ("pure", sign), u(sign << (k - 1))
-    if variant:
-        h, variant = int(h), int(variant)
-        return ("mixed", h, variant), mixed_template(k, h, variant)
-    p = PermUnitary(k - 1, parse_cycles(1 << (k - 1), cycles))
-    return ("inner", p.perm, bool(star)), _inner_image(p, bool(star))
+        kind = ("pure", 1 if pure == "+" else -1)
+    elif variant:
+        kind = ("mixed", int(h), int(variant))
+    else:
+        kind = ("inner", parse_cycles(1 << (k - 1), cycles), bool(star))
+    return kind, _kind_template(k, kind)
+
+
+def _kind_template(k: int, kind: tuple) -> Element:
+    """The menu's element of this kind at level k."""
+    if kind[0] == "pure":
+        return u(kind[1] << (k - 1))
+    if kind[0] == "mixed":
+        return mixed_template(k, kind[1], kind[2])
+    _tag, pperm, with_flip = kind
+    return _inner_image(PermUnitary(k - 1, pperm), with_flip)
 
 
 def template_labels(k: int) -> Iterator[str]:
@@ -377,7 +388,8 @@ def _inner_image(p: PermUnitary, with_flip: bool) -> Element:
 
 # enumeration ------------------------------------------------------------------
 
-_MAX_BRUTE_LEVEL = 3
+_MAX_BRUTE_LEVEL = 4  # one template; U+ and U- list 40,320 results there
+_MAX_BRUTE_MENU_LEVEL = 3  # the whole menu; level 4 has 80,648 templates
 _MAX_FAMILY = 100_000  # members a constructive family may list
 
 
@@ -387,14 +399,16 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
     """Every u in the level-k permutation unitaries extendible with the given
     template as image of U, in lex order of the permutation.
 
-    brute mode is a complete classification (k <= 3): ext1 forces rho on the
-    words 1y from rho on the words 2y, a search over the 2-half prunes every
-    collision, and both extension equations are checked on each survivor,
-    as check_extension does, with the template checked for unitarity once.
-    constructive mode replays the closed-form family attached to the
-    template (kind, as given by parse_template, skips the menu scan) and
-    raises a domain error for templates with no such family.  jobs is
-    accepted for compatibility; the search is serial.
+    brute mode is a complete classification (k <= 4): ext1 forces rho on the
+    words 1y from rho on the words 2y, and a search over the 2-half prunes
+    every collision and every partial rho that already breaks ext2
+    (_extendible).  Both extension equations are then checked on each
+    survivor, as check_extension does, with the template checked for
+    unitarity once.  constructive mode replays the closed-form family
+    attached to the template (kind, as given by parse_template, skips the
+    charge-guided lookup of _template_kind) and raises a domain error for
+    templates with no such family.  jobs is accepted for compatibility; the
+    search is serial.
     """
     if mode == "constructive":
         return constructive_family(k, template, kind)
@@ -408,46 +422,115 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
             f"level must be <= {_MAX_BRUTE_LEVEL}")
     if not is_unitary(template):
         raise DomainError("candidate image of U must be unitary")
-    found = sorted(perm for perm in _ext1_candidates(k, template)
+    found = sorted(perm for perm in _extendible(k, template)
                    if all(_extension_parts(PermUnitary(k, perm), template)))
     return [PermUnitary(k, perm) for perm in found]
 
 
-def _ext1_candidates(k: int, template: Element) -> Iterator[Perm]:
-    """The level-k permutations that satisfy ext1; at level 0, unfiltered,
-    the only permutation there is.
-    With y over the length-(k-1) words, u S_2 = sum_y S_rho(2y) S_y* and
-    u S_1 = sum_y S_rho(1y) S_y*, so ext1 holds iff Utilde S_rho(2y) =
-    S_rho(1y) for every y."""
+def enumerate_menu(k: int, mode: str = "brute",
+                   jobs: int = 1) -> Iterator[Tuple[str, PermUnitary]]:
+    """(label, u) for each menu template at level k, in menu order, and each
+    u that enumerate_extendible lists for it.  Brute force over the whole
+    menu past level _MAX_BRUTE_MENU_LEVEL is refused at once, before any
+    template is searched."""
+    if mode == "brute" and k > _MAX_BRUTE_MENU_LEVEL:
+        count = 2 * k + 2 * factorial(1 << (k - 1))
+        raise CapacityError(
+            f"brute force over all {count} level-{k} templates is not "
+            f"tractable; search one template at a time, or level <= "
+            f"{_MAX_BRUTE_MENU_LEVEL}")
+
+    def results() -> Iterator[Tuple[str, PermUnitary]]:
+        for label in template_labels(k):
+            kind, template = parse_template(k, label)
+            for pu in enumerate_extendible(k, template, mode, jobs, kind):
+                yield label, pu
+
+    return results()
+
+
+def _extendible(k: int, template: Element) -> Iterator[Perm]:
+    """The level-k permutations that satisfy ext1 and ext2 (up to the
+    final check of enumerate_extendible); at level 0, unfiltered, the only
+    permutation there is.
+
+    With y over the length-(k-1) words, u S_i = sum_y S_rho(iy) S_y*, so
+    ext1 holds iff Utilde S_rho(2y) = S_rho(1y) for every y: rho on the
+    words 2y forces rho on the words 1y.  Right-multiplied by S_x, ext2
+    reads Utilde S_rho(1x) = u S_2 (Utilde S_x), and since the S_x S_x* sum
+    to 1, ext2 holds iff that holds for every x.  Expand Utilde S_x until
+    each alpha has k-1 letters or more; as u S_w = S_rho(w) for |w| = k,
+    u S_2 S_alpha = S_rho(2 alpha[:k-1]) S_alpha[k-1:], a substitution.  So
+    x's equation reads rho only on 2x and on the words 2 alpha[:k-1].  The
+    search places rho(2y) and rho(1y) for one y at a time, in lex order of
+    y, and decides each equation by eq as soon as the last word it reads is
+    placed, memoized on rho of the words 2z it reads.
+    """
     if k == 0:
         yield (0,)
         return
     half = 1 << (k - 1)  # 1y has lex index j, 2y has half + j
-    forced = _forced_images(k, template)
+    words = all_words(k)
+    images = [template * s(w) for w in words]  # Utilde S_b, left-hand sides
+    forced = _forced_images(k, images)
+    # checks[i]: the equations decided once y_i is placed, each as x's index
+    # j, the indices of the words 2z it reads, and the terms of Utilde S_x
+    # as (index of 2 alpha[:k-1], alpha[k-1:], charge, beta, coefficient)
+    checks: List[list] = [[] for _ in range(half)]
+    for j, x in enumerate(all_words(k - 1)):
+        terms = [(half + lex_index(a[:k - 1]), a[k - 1:], m, b, c)
+                 for (a, m, b), c in _expand_alpha(template * s(x), k - 1).items()]
+        reads = sorted({half + j}.union(z for z, *_rest in terms))
+        checks[reads[-1] - half].append((j, reads, terms, {}))
     perm = [0] * (2 * half)
     used = [False] * (2 * half)
 
-    def place(j: int) -> Iterator[Perm]:
-        if j == half:
+    def holds(j: int, reads: List[int], terms: list, memo: dict) -> bool:
+        key = tuple([perm[i] for i in reads])  # rho(1x) follows from rho(2x)
+        verdict = memo.get(key)
+        if verdict is None:
+            rhs = Element({new_monomial((words[perm[z]] + tail, m, b)): c
+                           for z, tail, m, b, c in terms})
+            verdict = memo[key] = eq(images[perm[j]], rhs)
+        return verdict
+
+    def place(i: int) -> Iterator[Perm]:
+        if i == half:
             yield tuple(perm)
             return
         for a, b in forced.items():
             if used[a] or used[b] or a == b:
                 continue
-            used[a] = used[b] = True
-            perm[half + j], perm[j] = a, b
-            yield from place(j + 1)
-            used[a] = used[b] = False
+            perm[half + i], perm[i] = a, b
+            if all(holds(*check) for check in checks[i]):
+                used[a] = used[b] = True
+                yield from place(i + 1)
+                used[a] = used[b] = False
 
     yield from place(0)
 
 
-def _forced_images(k: int, template: Element) -> Dict[int, int]:
-    """{a: b} over lex indices of length-k words with Utilde S_a = S_b.  A
-    term of the refined form proposes b; eq decides."""
+def _expand_alpha(e: Element, n: int) -> Dict[Monomial, object]:
+    """The collected term map of e with each term expanded (expand_right)
+    until its alpha has n letters or more."""
+    pairs = []
+    for m, c in e.terms.items():
+        stack = [m]
+        while stack:
+            cur = stack.pop()
+            if len(cur.alpha) < n:
+                stack.extend(expand_right(cur))
+            else:
+                pairs.append((cur, c))
+    return _add_terms({}, pairs)
+
+
+def _forced_images(k: int, images: List[Element]) -> Dict[int, int]:
+    """{a: b} over lex indices of length-k words with Utilde S_a = S_b, from
+    images[a] = Utilde S_a.  A term of the refined form proposes b; eq
+    decides."""
     forced = {}
-    for a, word in enumerate(all_words(k)):
-        image = template * s(word)
+    for a, image in enumerate(images):
         (f,) = _refine(image)
         m = next(iter(f), None)
         if m is None or len(m.alpha) - len(m.beta) != k:
@@ -459,18 +542,69 @@ def _forced_images(k: int, template: Element) -> Dict[int, int]:
 
 
 def _template_kind(k: int, template: Element):
-    """Kind of the first menu entry equal to the template, or None."""
-    for label in template_labels(k):
-        kind, element = parse_template(k, label)
-        if eq(template, element):
-            return kind
-    return None
+    """Kind of the menu entry equal to the template, or None.
+
+    Total charge is an invariant of the operator, and it picks the
+    candidates: +-2^(k-1) for U+-, 0 for the 2(k-1) mixed templates, 1 for
+    AD and -1 for AD* (whose p _inner_perm reads off the template).  eq
+    confirms the candidate; no two menu entries are equal, so at most one
+    matches.  An element outside W is equal to no menu entry."""
+    if k < 2:
+        raise DomainError(f"template menu needs level k >= 2, got {k}")
+    try:
+        charge = total_charge(template)
+    except DomainError:
+        return None
+    if abs(charge) == 1 << (k - 1):
+        kinds = [("pure", 1 if charge > 0 else -1)]
+    elif charge == 0:
+        kinds = [("mixed", h, variant)
+                 for h in range(k - 1) for variant in (1, 2)]
+    elif abs(charge) == 1:
+        pperm = _inner_perm(k, template, charge)
+        kinds = [] if pperm is None else [("inner", pperm, charge < 0)]
+    else:
+        kinds = []
+    return next((kind for kind in kinds
+                 if eq(template, _kind_template(k, kind))), None)
+
+
+def _inner_perm(k: int, template: Element, charge: int) -> Optional[Perm]:
+    """The level-(k-1) permutation p with template = p U^charge p* for
+    charge +-1, read off the template's reduced form at depth k-1, or None
+    when that reading fails.
+
+    With the odometer step w -> w+1 on the length-(k-1) words, U S_w =
+    S_(w+1) except at w = 1...1, where U S_w = S_(2...2) U.  So p U p* is
+    the sum of S_p(w+1) U^q S_p(w)*: its one charged term has alpha
+    p(2...2), and the term with beta p(w) has alpha p(w+1).  For U* the
+    walk starts at p(1...1) and steps w -> w-1.  The result is a candidate
+    for eq to confirm."""
+    try:
+        f = normalize(to_element(reduce(from_element(template))), k - 1)
+    except DomainError:  # deeper than k-1 letters even when reduced
+        return None
+    by_beta = {b: a for a, _m, b in f.terms}
+    charged = [a for a, m, _b in f.terms if m]
+    if len(charged) != 1:
+        return None
+    size = 1 << (k - 1)
+    t = 0 if charge > 0 else size - 1  # the offset of 2...2, or of 1...1
+    image = charged[0]
+    p = [0] * size
+    for _ in range(size):
+        if image not in by_beta:
+            return None
+        p[lex_index(decode(k - 1, t))] = lex_index(image)
+        t = (t + charge) % size
+        image = by_beta[image]
+    return tuple(p) if sorted(p) == list(range(size)) else None
 
 
 def constructive_family(k: int, template: Element,
                         kind: Optional[tuple] = None) -> List[PermUnitary]:
     """The closed-form family of the template; kind, when the caller has it
-    from parse_template, skips the eq scan of the menu."""
+    from parse_template, skips _template_kind."""
     if kind is None:
         kind = _template_kind(k, template)
     if kind is None:

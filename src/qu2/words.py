@@ -117,7 +117,7 @@ def flip(w: Word) -> Word:
 
 
 def word_str(w: Word) -> str:
-    return "".join(str(letter) for letter in w) if w else "e"
+    return "".join(map(str, w)) if w else "e"
 
 
 def parse_word(text: str) -> Word:

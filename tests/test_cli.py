@@ -241,7 +241,7 @@ def test_exit_codes(capsys):
         assert (code, out) == (2, ""), argv
         assert one_line_error(err) and "parse error" in err and token in err
     # brute force past the capacity bound
-    code, _, err = run(capsys, "enumerate", "--level", "4", "--template", "U+")
+    code, _, err = run(capsys, "enumerate", "--level", "5", "--template", "U+")
     assert code == 1 and "tractable" in err
     # cycle notation without --level
     assert run(capsys, "check-ext", "(1 2)", "--template", "U+")[0] == 1
@@ -308,6 +308,20 @@ def test_family_past_capacity_is_refused(capsys):
             code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert one_line_error(err) and "members" in err, (argv, err)
+
+
+def test_enumerate_level4_brute(capsys):
+    # one template at level 4 is searched; the whole menu, 80,648
+    # templates, is refused before any of them is
+    with time_limit(10, "brute enumerate of M1:1 at level 4"):
+        code, out, _ = run(capsys, "enumerate", "--level", "4",
+                           "--template", "M1:1")
+    assert code == 0 and out.endswith("\n576 results\n")
+    with time_limit(5, "brute enumerate of the level-4 menu"):
+        code, out, err = run(capsys, "enumerate", "--level", "4",
+                             "--all-templates", "--mode", "brute")
+    assert (code, out) == (1, "")
+    assert one_line_error(err) and "80648" in err and "tractable" in err
 
 
 def test_enumerate_constructive_label_is_not_searched(capsys):

@@ -239,7 +239,7 @@ def test_enumerate_modes():
                                                    mode="constructive")}
     assert cons == brute == {pu2("(2 3)").perm, pu2("(1 3 4 2)").perm}
     with pytest.raises(CapacityError):
-        list(enumerate_extendible(4, u(8), mode="brute"))
+        list(enumerate_extendible(5, u(16), mode="brute"))
     with pytest.raises(DomainError):
         enumerate_extendible(2, u(2), mode="fast")
 

@@ -1,9 +1,12 @@
 """enumerate_extendible's brute mode against a plain sweep.
 
-The brute mode searches only the permutations that ext1 allows and then
-verifies each with check_extension.  These tests hold it to the full sweep
-over all (2^k)! permutations: a reference loop kept here, and the level-3
-output of every menu template recorded from the sweep in tests/golden/.
+The brute mode searches only the permutations that ext1 allows, prunes
+those that break ext2 as it places them, and then verifies each survivor
+with the extension checker.  These tests hold it to the full sweep over all
+(2^k)! permutations (a reference loop kept here), to the search pruned by
+ext1 alone (another), to the level-3 output of every menu template recorded
+from the sweep in tests/golden/, and at level 4 to the constructive
+families.
 """
 
 import contextlib
@@ -14,18 +17,27 @@ from itertools import permutations
 
 import pytest
 
+from qu2 import endo
 from qu2.cli import main
-from qu2.element import is_unitary, normalize, one, parse_element, proj, u, zero
+from qu2.element import (eq, flip_flop, is_unitary, normalize, one,
+                         parse_element, proj, s, u, zero)
 from qu2.endo import (
     PermUnitary,
     check_extension,
+    constructive_family,
     enumerate_extendible,
+    mixed_template,
+    parse_template,
     perm_unitary,
+    perm_unitary_from_cycles,
+    template_labels,
     u_templates_labeled,
 )
 from qu2.errors import DomainError
 from qu2.wgroup import Diagram, to_element
 from qu2.words import all_words
+
+from test_cli import time_limit
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -152,3 +164,128 @@ def test_level3_menu_matches_recorded_sweep(extra, name):
     # recorded from the full sweep over all 40,320 permutations per template
     argv = ["enumerate", "--level", "3", "--all-templates"] + extra
     assert _stdout(argv) == (GOLDEN / name).read_text()
+
+
+# the search pruned by ext2 ------------------------------------------------------
+
+def ext1_candidates(k, template):
+    """The level-k permutations that satisfy ext1, as the search found them
+    before it checked ext2: rho(2y) over the forced images, rho(1y) forced,
+    collisions pruned; at level 0 the only permutation there is."""
+    if k == 0:
+        yield (0,)
+        return
+    half = 1 << (k - 1)
+    forced = endo._forced_images(k, [template * s(w) for w in all_words(k)])
+    perm = [0] * (2 * half)
+    used = [False] * (2 * half)
+
+    def place(j):
+        if j == half:
+            yield tuple(perm)
+            return
+        for a, b in forced.items():
+            if used[a] or used[b] or a == b:
+                continue
+            used[a] = used[b] = True
+            perm[half + j], perm[j] = a, b
+            yield from place(j + 1)
+            used[a] = used[b] = False
+
+    yield from place(0)
+
+
+def ext1_search(k, template):
+    return sorted(perm for perm in ext1_candidates(k, template)
+                  if all(endo._extension_parts(PermUnitary(k, perm), template)))
+
+
+def test_ext2_pruning_keeps_the_ext1_search_results():
+    cases = [(k, t) for k in (2, 3) for _label, t in u_templates_labeled(k)]
+    assert len(cases) == 62
+    cases += [(2, t) for t in random_templates(2, 40, seed=1)]
+    cases += [(3, t) for t in random_templates(3, 60, seed=2)]
+    cases += [(0, u(1)), (1, u(-1))]
+    hits = 0
+    for k, template in cases:
+        expected = ext1_search(k, template)
+        assert found(k, template) == expected
+        hits += bool(expected)
+    assert hits >= 70
+
+
+def test_only_ext2_survivors_reach_the_extension_checker(monkeypatch):
+    template = mixed_template(3, 1, 1)
+    assert len(list(ext1_candidates(3, template))) == 24
+    calls = []
+    checker = endo._extension_parts
+
+    def counted(pu, u_tilde):
+        calls.append(pu.perm)
+        return checker(pu, u_tilde)
+
+    monkeypatch.setattr(endo, "_extension_parts", counted)
+    assert len(found(3, template)) == 4
+    assert len(calls) == 4
+
+
+def test_level4_brute_force_matches_the_families():
+    rng = random.Random(13)
+    inner = rng.sample(list(template_labels(4))[8:], 6)
+    with time_limit(60, "level-4 brute force on 12 templates"):
+        for label in ["M1:0", "M2:0"] + inner:
+            kind, template = parse_template(4, label)
+            family = {pu.perm for pu in constructive_family(4, template, kind)}
+            assert set(found(4, template)) == family, label
+        for h in (1, 2):
+            for variant in (1, 2):
+                label = f"M{variant}:{h}"
+                kind, template = parse_template(4, label)
+                family = {pu.perm
+                          for pu in constructive_family(4, template, kind)}
+                brute = found(4, template)
+                assert len(family) == 16 and len(brute) == 576, label
+                assert family <= set(brute), label
+
+
+# reading a template's kind -------------------------------------------------------
+
+def menu_scan(k, template):
+    """The kind of the first menu entry equal to the template, by eq down
+    the whole menu."""
+    for label in template_labels(k):
+        kind, element = parse_template(k, label)
+        if eq(template, element):
+            return kind
+    return None
+
+
+def test_template_kind_agrees_with_the_menu_scan():
+    for k in (2, 3):
+        for label in template_labels(k):
+            kind, template = parse_template(k, label)
+            assert endo._template_kind(k, template) == kind, label
+            assert menu_scan(k, template) == kind, label
+            # the same operator written deeper
+            deep = normalize(template, k + 2)
+            assert endo._template_kind(k, deep) == kind, label
+        others = random_templates(k, 60, seed=3) + [-u(1), u(3), one()]
+        for template in others:
+            assert endo._template_kind(k, template) == menu_scan(k, template)
+    rng = random.Random(4)
+    labels = list(template_labels(4))
+    with time_limit(10, "the kind of 200 level-4 menu entries"):
+        for label in labels[:8] + rng.sample(labels[8:], 200):
+            kind, template = parse_template(4, label)
+            assert endo._template_kind(4, template) == kind, label
+
+
+def test_template_kind_of_an_off_menu_element_is_found_quickly():
+    # each of these takes seconds of eq down the 80,648-entry level-4 menu
+    # and matches no entry there; the charge leaves at most six candidates
+    p = perm_unitary_from_cycles(3, "(1 2)").element
+    off_menu = [one(), flip_flop(), flip_flop() * u(8), p * u(1),
+                u(-1) * p, u(3), -u(1)]
+    with time_limit(5, "the kind of off-menu level-4 elements"):
+        for template in off_menu:
+            assert endo._template_kind(4, template) is None
