@@ -279,7 +279,7 @@ def cmd_construct(args):
 def cmd_enumerate(args):
     k = args.level
     if args.all_templates:
-        results = list(enumerate_menu(k, mode=args.mode, jobs=args.jobs))
+        results = list(enumerate_menu(k, mode=args.mode))
     elif args.template:
         kind, template = _parse_template_arg(args.template, k)
         results = [(args.template, pu)

@@ -219,15 +219,16 @@ def normalize(e: Element, depth: Optional[int] = None) -> Element:
     return Element(_expand(e, lambda beta: len(beta) < depth))
 
 
-def _expand(e: Element, inner: Callable[[Word], bool]) -> Dict[Monomial, Coeff]:
-    """The collected term map of e with each term expanded while
-    inner(beta) holds."""
+def _expand(e: Element, inner: Callable[[Word], bool],
+            side: int = 2) -> Dict[Monomial, Coeff]:
+    """The collected term map of e with each term expanded while inner
+    holds of its beta (side 2, the default) or of its alpha (side 0)."""
     acc: Dict[Monomial, Coeff] = {}
     for m, c in e.terms.items():
         stack = [m]
         while stack:
             cur = stack.pop()
-            if inner(cur.beta):
+            if inner(cur[side]):
                 stack.extend(expand_right(cur))
                 continue
             # most leaves are new: skip the int + Fraction addition

@@ -23,10 +23,10 @@ import re
 from math import factorial
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .element import (Element, _add_terms, _refine, eq, flip_flop, is_unitary,
+from .element import (Element, _expand, _refine, eq, flip_flop, is_unitary,
                       normalize, one, parse_element, phi, s, total_charge, u)
 from .errors import CapacityError, DomainError, ParseError
-from .monomial import Monomial, expand_right, new_monomial
+from .monomial import Monomial, new_monomial
 from .wgroup import from_element, reduce, to_element
 from .words import Word, all_words, decode, lex_index
 
@@ -252,12 +252,18 @@ def template_labels(k: int) -> Iterator[str]:
             yield f"M{variant}:{h}"
     if k > _MAX_MENU_LEVEL:
         raise CapacityError(
-            f"the inner templates number 2*{1 << (k - 1)}!; "
+            f"the level-{k} menu has {_menu_size(k)} templates; "
             f"the full menu needs level <= {_MAX_MENU_LEVEL}")
     for pperm in itertools.permutations(range(1 << (k - 1))):
         cycles = perm_to_cycles(pperm)
         yield f"AD:{cycles}"
         yield f"AD*:{cycles}"
+
+
+def _menu_size(k: int) -> int:
+    """Entries of template_labels(k): U+ and U-, 2(k-1) mixed, and
+    2 (2^{k-1})! inner."""
+    return 2 + 2 * (k - 1) + 2 * factorial(1 << (k - 1))
 
 
 def u_templates_labeled(k: int) -> List[Tuple[str, Element]]:
@@ -427,23 +433,21 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
     return [PermUnitary(k, perm) for perm in found]
 
 
-def enumerate_menu(k: int, mode: str = "brute",
-                   jobs: int = 1) -> Iterator[Tuple[str, PermUnitary]]:
+def enumerate_menu(k: int, mode: str = "brute") -> Iterator[Tuple[str, PermUnitary]]:
     """(label, u) for each menu template at level k, in menu order, and each
     u that enumerate_extendible lists for it.  Brute force over the whole
     menu past level _MAX_BRUTE_MENU_LEVEL is refused at once, before any
     template is searched."""
     if mode == "brute" and k > _MAX_BRUTE_MENU_LEVEL:
-        count = 2 * k + 2 * factorial(1 << (k - 1))
         raise CapacityError(
-            f"brute force over all {count} level-{k} templates is not "
+            f"brute force over all {_menu_size(k)} level-{k} templates is not "
             f"tractable; search one template at a time, or level <= "
             f"{_MAX_BRUTE_MENU_LEVEL}")
 
     def results() -> Iterator[Tuple[str, PermUnitary]]:
         for label in template_labels(k):
             kind, template = parse_template(k, label)
-            for pu in enumerate_extendible(k, template, mode, jobs, kind):
+            for pu in enumerate_extendible(k, template, mode, kind=kind):
                 yield label, pu
 
     return results()
@@ -478,8 +482,9 @@ def _extendible(k: int, template: Element) -> Iterator[Perm]:
     # as (index of 2 alpha[:k-1], alpha[k-1:], charge, beta, coefficient)
     checks: List[list] = [[] for _ in range(half)]
     for j, x in enumerate(all_words(k - 1)):
+        expanded = _expand(template * s(x), lambda a: len(a) < k - 1, side=0)
         terms = [(half + lex_index(a[:k - 1]), a[k - 1:], m, b, c)
-                 for (a, m, b), c in _expand_alpha(template * s(x), k - 1).items()]
+                 for (a, m, b), c in expanded.items()]
         reads = sorted({half + j}.union(z for z, *_rest in terms))
         checks[reads[-1] - half].append((j, reads, terms, {}))
     perm = [0] * (2 * half)
@@ -508,21 +513,6 @@ def _extendible(k: int, template: Element) -> Iterator[Perm]:
                 used[a] = used[b] = False
 
     yield from place(0)
-
-
-def _expand_alpha(e: Element, n: int) -> Dict[Monomial, object]:
-    """The collected term map of e with each term expanded (expand_right)
-    until its alpha has n letters or more."""
-    pairs = []
-    for m, c in e.terms.items():
-        stack = [m]
-        while stack:
-            cur = stack.pop()
-            if len(cur.alpha) < n:
-                stack.extend(expand_right(cur))
-            else:
-                pairs.append((cur, c))
-    return _add_terms({}, pairs)
 
 
 def _forced_images(k: int, images: List[Element]) -> Dict[int, int]:

@@ -7,7 +7,8 @@ import signal
 import pytest
 
 from qu2.cli import main
-from qu2.element import eq, from_json, parse_element
+from qu2.element import element_str, eq, from_json, parse_element, u
+from qu2.endo import perm_unitary_from_cycles
 
 
 def run(capsys, *argv):
@@ -322,6 +323,23 @@ def test_enumerate_level4_brute(capsys):
                              "--all-templates", "--mode", "brute")
     assert (code, out) == (1, "")
     assert one_line_error(err) and "80648" in err and "tractable" in err
+
+
+def test_enumerate_constructive_element_past_the_menu_level(capsys):
+    # past level 4 the menu cannot be listed, but an element template's
+    # kind is read off its charge: p U p* finds its one-member family,
+    # and the charge-1 element p U, on no menu, is refused as such
+    p = perm_unitary_from_cycles(4, "(1 5 3)(2 16)").element
+    inner = element_str(p * u(1) * p.adjoint())
+    with time_limit(10, "constructive enumerate of a level-5 element"):
+        code, out, _ = run(capsys, "enumerate", "--level", "5", "--mode",
+                           "constructive", "--template", inner)
+        assert code == 0 and out.endswith("\n1 results\n")
+        code, out, err = run(capsys, "enumerate", "--level", "5", "--mode",
+                             "constructive", "--template",
+                             element_str(p * u(1)))
+    assert (code, out) == (1, "")
+    assert one_line_error(err) and "no constructive family" in err
 
 
 def test_enumerate_constructive_label_is_not_searched(capsys):

@@ -289,3 +289,21 @@ def test_template_kind_of_an_off_menu_element_is_found_quickly():
     with time_limit(5, "the kind of off-menu level-4 elements"):
         for template in off_menu:
             assert endo._template_kind(4, template) is None
+
+
+def test_template_kind_past_the_menu_level():
+    # at level 5 the menu cannot be listed (its inner section has 2 * 16!
+    # entries), but the charge still names the candidate, so an element
+    # template finds its kind there and an off-menu one gets None
+    p = perm_unitary_from_cycles(4, "(1 5 3)(2 16)")
+    q = perm_unitary_from_cycles(4, "(1 2)").element
+    with time_limit(5, "the kind of level-5 elements"):
+        for with_flip in (False, True):
+            template = endo._inner_image(p, with_flip)
+            assert endo._template_kind(5, template) == \
+                ("inner", p.perm, with_flip)
+        assert endo._template_kind(5, mixed_template(5, 2, 1)) == \
+            ("mixed", 2, 1)
+        assert endo._template_kind(5, u(-16)) == ("pure", -1)
+        for template in (q * u(1), u(-1) * q, flip_flop(), u(3)):
+            assert endo._template_kind(5, template) is None
