@@ -16,8 +16,8 @@ from fractions import Fraction
 from .errors import CapacityError, DomainError, ParseError
 from .element import (
     Element,
+    _first_difference,
     element_str,
-    eq,
     is_unitary,
     membership,
     normalize,
@@ -131,8 +131,15 @@ def cmd_mul(args):
 
 
 def cmd_eq(args):
-    res = eq(parse_element(args.left), parse_element(args.right))
-    _emit(args, ["true" if res else "false"], {"eq": res})
+    diff = _first_difference(parse_element(args.left), parse_element(args.right))
+    lines, payload = ["true" if diff is None else "false"], {"eq": diff is None}
+    if args.explain:
+        payload["witness"] = None
+        if diff is not None:
+            term = Element.mono(*diff)
+            lines.append(f"witness: {element_str(term)}")
+            payload["witness"] = json.loads(element_to_json(term))[0]
+    _emit(args, lines, payload)
 
 
 def cmd_adjoint(args):
@@ -392,6 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("eq", cmd_eq, "exact equality of two elements")
     p.add_argument("left")
     p.add_argument("right")
+    p.add_argument("--explain", action="store_true",
+                   help="on false, name the first refined term of "
+                        "left - right that is not zero, with its coefficient")
 
     p = add("adjoint", cmd_adjoint, "adjoint of an element")
     p.add_argument("expr")

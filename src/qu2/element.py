@@ -13,11 +13,13 @@ only while its beta is a proper prefix of some beta present in the elements
 at hand.  The betas left are prefix-free, and over a prefix-free set of
 betas distinct triples (alpha, k, beta) are distinct affine maps on the
 residue classes of their betas in l^2(Z), hence linearly independent; so
-two elements are equal iff their refined term maps coincide.  Expanding a
-refined form further never merges two terms, so unitarity, membership,
-total charge, the Putnam form, the bd * v factorization and diagrams read
-it too, and a 64-letter beta costs its length, not 2^64 terms.  The
-uniform-depth form (normalize) is only for a caller that asks for a depth.
+an element is zero iff its refined form has no term.  eq reads the refined
+form of e1 - e2 one leaf of the beta trie at a time and stops at the first
+leaf whose terms do not cancel.  Expanding a refined form further never
+merges two terms, so unitarity, membership, total charge, the Putnam form,
+the bd * v factorization and diagrams read it too, and a 64-letter beta
+costs its length, not 2^64 terms.  The uniform-depth form (normalize) is
+only for a caller that asks for a depth.
 
 `Element.__eq__` is structural: it compares the stored terms.  Operator
 equality is `eq`, which holds across depths (`eq(u(), normalize(u(), 3))`
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -241,22 +244,101 @@ def _expand(e: Element, inner: Callable[[Word], bool],
     return acc
 
 
-def _refine(*es: Element) -> List[Dict[Monomial, Coeff]]:
-    """The collected term maps of the elements on the common refinement of
-    all their beta words: each term is expanded while its beta is a proper
-    prefix of some beta present, so the betas left are prefix-free."""
-    inner = carets({m.beta for e in es for m in e.terms}).__contains__
-    return [_expand(e, inner) for e in es]
+def _refine(e: Element) -> Dict[Monomial, Coeff]:
+    """The collected term map of e on the refinement of its beta words:
+    each term is expanded while its beta is a proper prefix of some beta
+    present, so the betas left are prefix-free."""
+    return _expand(e, carets({m.beta for m in e.terms}).__contains__)
+
+
+def _first_difference(e1: Element,
+                      e2: Element) -> Optional[Tuple[Monomial, Coeff]]:
+    """The first nonzero term of the refined form of e1 - e2, as (monomial,
+    coefficient), or None when e1 and e2 are the same operator.
+
+    The terms of the difference, as int numerators over one denominator,
+    sit at the nodes of the trie of their beta words.  The walk goes down
+    the carets depth first, letter 1 before letter 2, and at each caret
+    splits every pending term into its two children (expand_right's parity
+    rule).  A node that is no caret is a leaf of the refinement: its
+    pending terms all have its beta, so they are the refined terms there.
+    The first leaf whose sums by (alpha, k) are not all zero answers with
+    its least such (alpha, k); nothing after that leaf is expanded.
+    """
+    t1, t2 = e1.terms, e2.terms
+    # int coefficients are their own numerators over 1
+    d = 1
+    if Fraction in map(type, chain(t1.values(), t2.values())):
+        d = lcm(*map(_denominator, t1.values()),
+                *map(_denominator, t2.values()))
+    by_beta: Dict[Word, list] = {}
+    get = by_beta.get
+    for terms, scale in ((t1, d), (t2, -d)):
+        for (a, k, b), c in terms.items():
+            n = c.numerator * (scale // c.denominator)
+            row = get(b)
+            if row is None:
+                by_beta[b] = [(a, k, n)]
+            else:
+                row.append((a, k, n))
+    inner = carets(by_beta)
+    stack = [((), get((), ()), () in inner)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        w, pending, caret = pop()
+        if caret:
+            w1, w2 = w + (1,), w + (2,)
+            p1, p2 = get(w1), get(w2)
+            if pending:
+                p1, p2 = p1 or [], p2 or []
+                add1, add2 = p1.append, p2.append
+                for a, k, n in pending:
+                    if k & 1:
+                        add2((a + (1,), k >> 1, n))
+                        add1((a + (2,), (k >> 1) + 1, n))
+                    else:
+                        add1((a + (1,), k >> 1, n))
+                        add2((a + (2,), k >> 1, n))
+            # letter 1 on top of the stack; an empty leaf needs no visit
+            caret = w2 in inner
+            if caret or p2:
+                push((w2, p2 or (), caret))
+            caret = w1 in inner
+            if caret or p1:
+                push((w1, p1 or (), caret))
+            continue
+        # a leaf: its pending terms are the refined terms with beta w, and
+        # none is zero (an Element stores no zero coefficient)
+        if len(pending) == 2:
+            (a, k, n), (a2, k2, n2) = pending
+            if k == k2 and a == a2:
+                n += n2
+            else:
+                a, k, n = min(pending)
+        elif len(pending) == 1:
+            (a, k, n), = pending
+        else:
+            sums: Dict[Tuple[Word, int], int] = {}
+            for a, k, n in pending:
+                key = (a, k)
+                sums[key] = sums.get(key, 0) + n
+            nonzero = [key for key, n in sums.items() if n]
+            if not nonzero:
+                continue
+            a, k = min(nonzero)
+            n = sums[a, k]
+        if n:
+            return new_monomial((a, k, w)), n if d == 1 else Fraction(n, d)
+    return None
 
 
 def eq(e1: Element, e2: Element) -> bool:
-    """Operator equality: the refined term maps on the common refinement
-    of both elements' beta words coincide."""
-    # equal stored terms are the same operator: nothing to refine
+    """Operator equality: the refined form of e1 - e2 has no term.  Equal
+    stored terms answer at once; otherwise _first_difference walks the
+    beta trie of the difference and stops at its first nonzero leaf."""
     if e1.terms == e2.terms:
         return True
-    f1, f2 = _refine(e1, e2)
-    return f1 == f2
+    return _first_difference(e1, e2) is None
 
 
 def phi(e: Element) -> Element:
@@ -270,7 +352,7 @@ def _unitary_terms(e: Element, what: str) -> Dict[Monomial, Coeff]:
     """The refined term map of e; DomainError naming `what` unless it is a
     coefficient-1 sum over a pair of complete prefix-free families (alphas
     and betas each a partition)."""
-    (f,) = _refine(e)
+    f = _refine(e)
     if not (f and all(c == 1 for c in f.values())
             and is_partition(m.alpha for m in f)
             and is_partition(m.beta for m in f)):
@@ -302,7 +384,7 @@ def membership(e: Element) -> Membership:
     """Flags read off the refined form; expansion keeps k == 0 (a nonzero
     charge always leaves a nonzero child), |alpha| - |beta| and alpha ==
     beta, so they are those of every canonical form."""
-    (f,) = _refine(e)
+    f = _refine(e)
     in_o2 = all(m.k == 0 for m in f)
     in_qt = all(len(m.alpha) == len(m.beta) for m in f)
     in_f2 = in_o2 and in_qt

@@ -521,7 +521,7 @@ def _forced_images(k: int, images: List[Element]) -> Dict[int, int]:
     decides."""
     forced = {}
     for a, image in enumerate(images):
-        (f,) = _refine(image)
+        f = _refine(image)
         m = next(iter(f), None)
         if m is None or len(m.alpha) - len(m.beta) != k:
             continue

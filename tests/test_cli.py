@@ -8,7 +8,7 @@ import pytest
 
 from qu2.cli import main
 from qu2.element import element_str, eq, from_json, parse_element, u
-from qu2.endo import perm_unitary_from_cycles
+from qu2.endo import mixed_template, perm_unitary_from_cycles
 
 
 def run(capsys, *argv):
@@ -30,6 +30,35 @@ def test_eq_verb(capsys):
     # a false predicate is still a successful run
     code, out, _ = run(capsys, "eq", "U", "1")
     assert (code, out) == (0, "false\n")
+
+
+@pytest.mark.parametrize("cycles, variant", [("(1 3 4)", 2), ("(1 4 2)", 1)])
+def test_eq_explain_names_the_witness(capsys, cycles, variant):
+    # criterion 1's near misses: the second extension equation fails
+    template = mixed_template(2, 0, variant)
+    s1t, s2t = perm_unitary_from_cycles(2, cycles).s_images()
+    left, right = element_str(template * s1t), element_str(s2t * template)
+    code, out, _ = run(capsys, "eq", left, right)
+    assert (code, out) == (0, "false\n")
+    code, out, _ = run(capsys, "eq", left, right, "--explain")
+    verdict, line = out.splitlines()
+    assert (code, verdict) == (0, "false") and line.startswith("witness: ")
+    (m, c), = parse_element(line[len("witness: "):]).terms.items()
+    from test_element import refined_maps  # it imports this module
+    f1, f2 = refined_maps(parse_element(left), parse_element(right))
+    assert c == f1.get(m, 0) - f2.get(m, 0) != 0
+    code, out, _ = run(capsys, "eq", left, right, "--explain", "--json")
+    payload = json.loads(out)
+    assert payload["eq"] is False
+    assert from_json(json.dumps([payload["witness"]])).terms == {m: c}
+
+
+def test_eq_explain_on_equal_elements(capsys):
+    code, out, _ = run(capsys, "eq", "U", "S[1] S*[2] + S[2] U S*[1]",
+                       "--explain")
+    assert (code, out) == (0, "true\n")
+    code, out, _ = run(capsys, "eq", "U", "U", "--explain", "--json")
+    assert json.loads(out) == {"eq": True, "witness": None}
 
 
 def test_normalize_depth_and_json(capsys):

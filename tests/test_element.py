@@ -8,6 +8,8 @@ from qu2.canrep import apply_basis, semantic_eq
 from qu2.errors import CapacityError, DomainError, ParseError
 from qu2.element import (
     Element,
+    _expand,
+    _first_difference,
     bd_v_factor,
     element_str,
     eq,
@@ -29,7 +31,9 @@ from qu2.element import (
 )
 from qu2.monomial import Monomial, expand_right, mono_mul
 from qu2.wgroup import Diagram, from_element, reduce, to_element
-from qu2.words import is_partition
+from qu2.words import carets, is_partition
+
+from test_cli import time_limit
 
 words = st.lists(st.sampled_from((1, 2)), max_size=3).map(tuple)
 monos = st.builds(Monomial, words, st.integers(-8, 8), words)
@@ -599,3 +603,123 @@ def test_normalize_term_budget():
         normalize(u(), 17)
     with pytest.raises(CapacityError):
         normalize(parse_element("P[1] + S[2] U^3 S*[2]"), 18)
+
+
+# -- eq walks the beta trie of e1 - e2 and stops at its first nonzero leaf ---
+#
+# The reference is the comparison eq made before: both elements refined on
+# the common refinement of their beta words, and the term maps compared.
+
+def refined_maps(e1, e2):
+    inner = carets({m.beta for e in (e1, e2) for m in e.terms}).__contains__
+    return _expand(e1, inner), _expand(e2, inner)
+
+
+def check_eq(a, b):
+    """eq against the refined-map reference both ways round; a false
+    answer's witness is a refined term where the two maps differ by its
+    coefficient.  Returns the verdict."""
+    f1, f2 = refined_maps(a, b)
+    verdict = f1 == f2
+    assert eq(a, b) == eq(b, a) == verdict, (a, b)
+    diff = _first_difference(a, b)
+    assert (diff is None) == verdict, (a, b)
+    if diff is not None:
+        m, c = diff
+        assert c == f1.get(m, 0) - f2.get(m, 0) != 0, (a, b, diff)
+        assert _first_difference(b, a) == (m, -c)
+        # the refined betas are prefix-free, so the walk (letter 1 first)
+        # meets their leaves in lex order; the witness is the least term of
+        # the first leaf that does not cancel
+        differ = [t for t in f1.keys() | f2.keys() if f1.get(t) != f2.get(t)]
+        assert m == min(differ, key=lambda t: (t.beta, t.alpha, t.k)), \
+            (a, b, diff)
+    return verdict
+
+
+def _int_coefficients(rng, e):
+    """e with each integral coefficient an int or a Fraction at random."""
+    return Element({m: int(c) if c.denominator == 1 and rng.random() < 0.7
+                    else c for m, c in e.terms.items()})
+
+
+def _last_leaf_near_miss(rng, a):
+    """A copy of a, unevenly re-expanded, plus one term whose beta is the
+    all-2 word one letter deeper than any beta of a: the last leaf the walk
+    visits, and the only place the two differ."""
+    b = _expand_some(rng, a)
+    beta = (2,) * (max(a.depth(), b.depth()) + 1)
+    m = Monomial(tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 3))),
+                 rng.randint(-4, 4), beta)
+    return b + Element.mono(m, rng.choice((1, -2, Fraction(1, 3))))
+
+
+def _random_eq_pair(rng):
+    a = _int_coefficients(rng, _random_element(rng, max_terms=8))
+    roll = rng.random()
+    if roll < 0.1:
+        return a, zero()
+    if roll < 0.2:
+        # cancellations that only show on the refined form
+        return a - _expand_some(rng, a), zero()
+    if roll < 0.35:
+        return a, _last_leaf_near_miss(rng, a)
+    if roll < 0.5:
+        # a deep beta: a term along a 32- or 64-letter word, and a near miss
+        w = _deep_word(rng.choice((32, 64)))
+        deep = Element.mono(Monomial(w[:rng.randint(0, 3)], rng.randint(-8, 8),
+                                     w), rng.choice((1, Fraction(-1, 2))))
+        a = a + deep
+        b = _expand_some(rng, a)
+        return a, b if rng.random() < 0.5 else b + deep.scale(Fraction(1, 7))
+    b = _int_coefficients(rng, _random_pair(rng)[1] if roll < 0.6 else
+                          _expand_some(rng, a))
+    return a, b
+
+
+def test_eq_matches_refined_maps_on_random_pairs():
+    rng = random.Random(14)
+    verdicts = []
+    for i in range(1500):
+        a, b = _random_eq_pair(rng)
+        verdict = check_eq(a, b)
+        if i % 5 == 0:
+            assert semantic_eq(a, b) == verdict, (a, b)
+        verdicts.append(verdict)
+    assert 400 < sum(verdicts) < 1100
+
+
+def test_eq_edge_cases():
+    assert check_eq(zero(), zero())
+    assert not check_eq(zero(), one())
+    assert check_eq(parse_element("P[1] - P[11] - P[12]"), zero())
+    assert not check_eq(parse_element("P[1] - P[11] - 1/2*P[12]"), zero())
+    # int against Fraction coefficients of the same value
+    assert check_eq(Element({Monomial((1,), 0, (1,)): 2}),
+                    Element({Monomial((1,), 0, (1,)): Fraction(2)}))
+    assert _first_difference(parse_element("U"), parse_element("1")) == \
+        (Monomial((), 0, ()), -1)
+
+
+def test_eq_stops_at_the_first_nonzero_leaf():
+    # S_2 U^3 S_2* and its 2^12 refined terms are the same operator; next
+    # to P_1 they need the walk down all of the 2 subtree only when P_1
+    # cancels
+    shared = parse_element("S[2] U^3 S*[2]")
+    refined = normalize(shared, 13)
+    assert len(refined.terms) == 1 << 12
+    p1 = parse_element("P[1]")
+    with time_limit(1, "eq of elements that differ at P[1]"):
+        assert not eq(p1 + shared, p1.scale(2) + refined)
+    assert _first_difference(p1 + shared, p1.scale(2) + refined) == \
+        (Monomial((1,), 0, (1,)), -1)
+    # the same pair, differing only at the last leaf of the 2 subtree
+    last = max(refined.terms, key=lambda m: m.beta)
+    assert last.beta == (2,) * 13
+    near = dict(refined.terms)
+    near[last] += Fraction(1, 3)
+    with time_limit(1, "eq of elements that differ at their last leaf"):
+        assert not eq(p1 + shared, p1 + Element(near))
+        assert eq(p1 + shared, p1 + refined)
+    assert _first_difference(p1 + shared, p1 + Element(near)) == \
+        (last, Fraction(-1, 3))
