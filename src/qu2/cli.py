@@ -67,10 +67,11 @@ def _emit(args, text_lines, payload):
             print(line)
 
 
-def _parse_template_arg(text: str, level: int):
-    """A --template argument as (kind, element): a menu label, else an
-    element expression of kind None."""
-    return parse_template(level, text) or (None, parse_element(text))
+def _parse_template_arg(text: str, level: int) -> Element:
+    """A --template argument: a menu label's element, else an element
+    expression."""
+    labelled = parse_template(level, text)
+    return labelled[1] if labelled else parse_element(text)
 
 
 def _parse_unitary(text: str, level) -> PermUnitary:
@@ -221,7 +222,7 @@ def cmd_eval(args):
 
 def cmd_check_ext(args):
     pu = _parse_unitary(args.unitary, args.level)
-    _kind, template = _parse_template_arg(args.template, pu.level)
+    template = _parse_template_arg(args.template, pu.level)
     e1, e2 = check_extension_parts(pu, template)
     line = (
         f"ext1={'true' if e1 else 'false'} ext2={'true' if e2 else 'false'} "
@@ -250,21 +251,9 @@ def cmd_construct(args):
         endo = extend(make_u_p(p, kind[1]), template)
     elif kind[0] == "mixed":
         _tag, h, variant = kind
-        tail = 1 << (k - h - 2)
-
-        def side(mask, sigma):
-            if mask is None and sigma is None:
-                return None
-            if mask and not all(b.isdecimal() for b in mask):
-                raise ParseError(f"bad mask {mask!r}: want bits like 01")
-            bits = tuple(int(b) for b in mask) if mask else (0,) * h
-            perm = parse_cycles(tail, sigma) if sigma else tuple(range(tail))
-            return (bits, perm)
-
-        endo = extend(make_u_sigma(k, h, variant,
-                                   side1=side(args.mask1, args.sigma1),
-                                   side2=side(args.mask2, args.sigma2)),
-                      template)
+        sides = [parse_cycles(1 << (k - 2), text) if text else None
+                 for text in (args.sigma1, args.sigma2)]
+        endo = extend(make_u_sigma(k, h, variant, *sides), template)
     else:
         _tag, pperm, with_flip = kind
         endo = make_inner_phi(PermUnitary(k - 1, pperm), with_flip)
@@ -288,10 +277,9 @@ def cmd_enumerate(args):
     if args.all_templates:
         results = list(enumerate_menu(k, mode=args.mode))
     elif args.template:
-        kind, template = _parse_template_arg(args.template, k)
+        template = _parse_template_arg(args.template, k)
         results = [(args.template, pu)
-                   for pu in enumerate_extendible(k, template, mode=args.mode,
-                                                  jobs=args.jobs, kind=kind)]
+                   for pu in enumerate_extendible(k, template, mode=args.mode)]
     else:
         raise DomainError("enumerate needs --template or --all-templates")
     rows = [(label, perm_to_cycles(pu.perm), element_str(pu.element))
@@ -452,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", required=True)
     p.add_argument("--perm", default=None,
                    help="cycles for the block permutation (U+/U-)")
-    p.add_argument("--mask1", default=None, help="flip bits, first side (M*)")
-    p.add_argument("--sigma1", default=None, help="tail cycles, first side")
-    p.add_argument("--mask2", default=None, help="flip bits, second side")
-    p.add_argument("--sigma2", default=None, help="tail cycles, second side")
+    p.add_argument("--sigma1", default=None,
+                   help="cycles over the length-(k-2) words, first side (M*)")
+    p.add_argument("--sigma2", default=None,
+                   help="cycles over the length-(k-2) words, second side")
 
     p = add("enumerate", cmd_enumerate, "extendible unitaries per template")
     p.add_argument("--level", type=int, required=True)
@@ -463,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-templates", action="store_true")
     p.add_argument("--mode", choices=("brute", "constructive"),
                    default="brute")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; the search is serial")
 
     p = add("probe", cmd_probe, "symbolic automorphism probe")
     p.add_argument("unitary", help="element expression or cycle notation")

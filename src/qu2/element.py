@@ -133,10 +133,10 @@ class Element:
         for (a1, k1, b1), c1 in self.terms.items():
             c1 = c1.numerator * (d1 // c1.denominator)
             n1, t1 = len(b1), offset(b1)
-            mask1 = (1 << n1) - 1
+            low1 = (1 << n1) - 1
             for n2, t2, k2, b2, c2 in right:
                 if n1 <= n2:
-                    if t2 & mask1 != t1:
+                    if t2 & low1 != t1:
                         continue
                     # S_b1* S_a2 = S_g, then U^k1 S_g = S_g2 U^q
                     n = n2 - n1
@@ -516,7 +516,8 @@ def parse_element(text: str) -> Element:
             return u(1)
         raise AssertionError(kind)
 
-    def parse_rational() -> Fraction:
+    def parse_rational() -> Coeff:
+        """An int, or a Fraction when a '/' is written."""
         nonlocal i
         kind, m, pos = tokens[i]
         assert kind == "num"
@@ -529,7 +530,7 @@ def parse_element(text: str) -> Element:
                 raise ParseError("zero denominator", tokens[i + 1][2])
             i += 2
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     FACTORS = ("sword", "sstar", "pword", "upow", "ustar", "u", "num")
 
@@ -540,7 +541,7 @@ def parse_element(text: str) -> Element:
             if tokens[i][1].group("op") == "-":
                 sign = -1
             i += 1
-        coeff = Fraction(sign)
+        coeff = sign
         if peek() == "num":
             val = parse_rational()
             if peek() == "op" and tokens[i][1].group("op") == "*":

@@ -300,43 +300,36 @@ def make_u_p(p: Sequence[int], sign: int) -> PermUnitary:
     return PermUnitary(km1 + 1, perm_from_word_map(km1 + 1, mapping))
 
 
-def _apply_mask(mask: Sequence[int], w: Word) -> Word:
-    return tuple(3 - letter if bit else letter for bit, letter in zip(mask, w))
-
-
 def make_u_sigma(k: int, h: int, variant: int,
-                 side1: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
-                 side2: Optional[Tuple[Sequence[int], Sequence[int]]] = None) -> PermUnitary:
+                 side1: Optional[Sequence[int]] = None,
+                 side2: Optional[Sequence[int]] = None) -> PermUnitary:
     """Extendible unitary for the mixed template of the given variant.
 
-    Each side is (mask, sigma): mask is h bits flipping letters of the
-    length-h block on the inner-word side, sigma permutes the length-(k-h-2)
-    tail words (as lex indices).  Trivial sides reproduce the plain
-    well-suited matching; all (2^h * (2^{k-h-2})!)^2 choices are extendible
-    and distinct.
+    Each side is a permutation pi of the length-(k-2) words (as lex
+    indices).  Write x = a b with |a| = h and pi(x) = a' b', and let c be
+    the side's letter at position h+1.  Side 1 maps 2 a' c b' to a c b 2
+    and 1 a' c b' to a c b 1; side 2 swaps those endings.  Trivial sides
+    reproduce the plain well-suited matching; all ((2^(k-2))!)^2 choices
+    are extendible and distinct.
     """
     if k < 2 or not 0 <= h <= k - 2:
         raise DomainError(f"need k >= 2 and 0 <= h <= k-2, got k={k}, h={h}")
     if variant not in (1, 2):
         raise DomainError("variant must be 1 or 2")
-    m = k - h - 2
-    tail = all_words(m)
-    heads = all_words(h)
+    words = all_words(k - 2)
 
     def cook(side):
         if side is None:
-            return (0,) * h, identity_perm(len(tail))
-        mask, sigma = side
-        mask = tuple(int(b) for b in mask)
-        sigma = tuple(sigma)
-        if len(mask) != h or any(b not in (0, 1) for b in mask):
-            raise DomainError(f"mask must be {h} bits")
-        if sorted(sigma) != list(range(len(tail))):
-            raise DomainError("sigma is not a permutation of the tail words")
-        return mask, sigma
+            return identity_perm(len(words))
+        pi = tuple(side)
+        if sorted(pi) != list(range(len(words))):
+            raise DomainError(
+                f"side is not a permutation of the length-{k - 2} words")
+        return pi
 
-    mask1, sigma1 = cook(side1)
-    mask2, sigma2 = cook(side2)
+    def at(w: Word, c: int) -> Word:
+        return w[:h] + (c,) + w[h:]
+
     # side 1 rides the U^{+2^{k-1}} projection, side 2 the U^{-2^{k-1}} one;
     # the variant decides which letter at position h+1 each side carries.
     # On the + side the 2-prefixed block must land on words ending in 2
@@ -344,14 +337,12 @@ def make_u_sigma(k: int, h: int, variant: int,
     # on words ending in 1; the 1-prefixed blocks take the flipped endings.
     c1, c2 = (1, 2) if variant == 1 else (2, 1)
     mapping: Dict[Word, Word] = {}
-    for a in heads:
-        for bi, b in enumerate(tail):
-            b1 = tail[sigma1[bi]]
-            b2 = tail[sigma2[bi]]
-            mapping[(2,) + _apply_mask(mask1, a) + (c1,) + b1] = a + (c1,) + b + (2,)
-            mapping[(1,) + _apply_mask(mask1, a) + (c1,) + b1] = a + (c1,) + b + (1,)
-            mapping[(2,) + _apply_mask(mask2, a) + (c2,) + b2] = a + (c2,) + b + (1,)
-            mapping[(1,) + _apply_mask(mask2, a) + (c2,) + b2] = a + (c2,) + b + (2,)
+    for x, y1, y2 in zip(words, cook(side1), cook(side2)):
+        src1, src2 = at(words[y1], c1), at(words[y2], c2)
+        mapping[(2,) + src1] = at(x, c1) + (2,)
+        mapping[(1,) + src1] = at(x, c1) + (1,)
+        mapping[(2,) + src2] = at(x, c2) + (1,)
+        mapping[(1,) + src2] = at(x, c2) + (2,)
     return PermUnitary(k, perm_from_word_map(k, mapping))
 
 
@@ -362,16 +353,11 @@ def enumerate_u_p(k: int, sign: int) -> Iterator[PermUnitary]:
 
 
 def enumerate_u_sigma(k: int, h: int, variant: int) -> Iterator[PermUnitary]:
-    """All mixed-template constructions for (k, h, variant), lex order."""
-    m = k - h - 2
-    masks = list(itertools.product((0, 1), repeat=h))
-    sigmas = list(itertools.permutations(range(1 << m)))
-    for mask1 in masks:
-        for sigma1 in sigmas:
-            for mask2 in masks:
-                for sigma2 in sigmas:
-                    yield make_u_sigma(k, h, variant,
-                                       (mask1, sigma1), (mask2, sigma2))
+    """All mixed-template constructions for (k, h, variant), in lex order
+    of (side 1, side 2)."""
+    pis = list(itertools.permutations(range(1 << (k - 2))))
+    for side1, side2 in itertools.product(pis, repeat=2):
+        yield make_u_sigma(k, h, variant, side1, side2)
 
 
 def make_inner_phi(p: PermUnitary, with_flip: bool) -> ExtendedEndo:
@@ -400,8 +386,7 @@ _MAX_FAMILY = 100_000  # members a constructive family may list
 
 
 def enumerate_extendible(k: int, template: Element, mode: str = "brute",
-                         jobs: int = 1,
-                         kind: Optional[tuple] = None) -> List[PermUnitary]:
+                         jobs: int = 1) -> List[PermUnitary]:
     """Every u in the level-k permutation unitaries extendible with the given
     template as image of U, in lex order of the permutation.
 
@@ -411,13 +396,12 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
     (_extendible).  Both extension equations are then checked on each
     survivor, as check_extension does, with the template checked for
     unitarity once.  constructive mode replays the closed-form family
-    attached to the template (kind, as given by parse_template, skips the
-    charge-guided lookup of _template_kind) and raises a domain error for
-    templates with no such family.  jobs is accepted for compatibility; the
-    search is serial.
+    attached to the template and raises a domain error for templates with
+    no such family.  jobs changes nothing, since the search is serial; it
+    stays only because the benchmark's sweep passes jobs=1.
     """
     if mode == "constructive":
-        return constructive_family(k, template, kind)
+        return constructive_family(k, template)
     if mode != "brute":
         raise DomainError(f"unknown mode {mode!r}")
     if k < 0:
@@ -435,9 +419,10 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
 
 def enumerate_menu(k: int, mode: str = "brute") -> Iterator[Tuple[str, PermUnitary]]:
     """(label, u) for each menu template at level k, in menu order, and each
-    u that enumerate_extendible lists for it.  Brute force over the whole
-    menu past level _MAX_BRUTE_MENU_LEVEL is refused at once, before any
-    template is searched."""
+    u that enumerate_extendible lists for it.  Constructive mode reads each
+    family off the label's kind.  Brute force over the whole menu past
+    level _MAX_BRUTE_MENU_LEVEL is refused at once, before any template is
+    searched."""
     if mode == "brute" and k > _MAX_BRUTE_MENU_LEVEL:
         raise CapacityError(
             f"brute force over all {_menu_size(k)} level-{k} templates is not "
@@ -447,7 +432,9 @@ def enumerate_menu(k: int, mode: str = "brute") -> Iterator[Tuple[str, PermUnita
     def results() -> Iterator[Tuple[str, PermUnitary]]:
         for label in template_labels(k):
             kind, template = parse_template(k, label)
-            for pu in enumerate_extendible(k, template, mode, kind=kind):
+            members = (_family(k, kind) if mode == "constructive"
+                       else enumerate_extendible(k, template, mode))
+            for pu in members:
                 yield label, pu
 
     return results()
@@ -591,25 +578,21 @@ def _inner_perm(k: int, template: Element, charge: int) -> Optional[Perm]:
     return tuple(p) if sorted(p) == list(range(size)) else None
 
 
-def constructive_family(k: int, template: Element,
-                        kind: Optional[tuple] = None) -> List[PermUnitary]:
-    """The closed-form family of the template; kind, when the caller has it
-    from parse_template, skips _template_kind."""
-    if kind is None:
-        kind = _template_kind(k, template)
+def constructive_family(k: int, template: Element) -> List[PermUnitary]:
+    """The closed-form family of the template, found by _template_kind."""
+    kind = _template_kind(k, template)
     if kind is None:
         raise DomainError("no constructive family matches this template")
     return _family(k, kind)
 
 
 def _family_size(k: int, kind: tuple) -> int:
-    """Closed-form member count: (2^(k-1))! for U±, (2^h (2^(k-h-2))!)^2
-    for a mixed template, 1 for an inner one."""
+    """Closed-form member count: (2^(k-1))! for U±, ((2^(k-2))!)^2 for a
+    mixed template, 1 for an inner one."""
     if kind[0] == "pure":
         return factorial(1 << (k - 1))
     if kind[0] == "mixed":
-        h = kind[1]
-        return (factorial(1 << (k - h - 2)) << h) ** 2
+        return factorial(1 << (k - 2)) ** 2
     return 1
 
 

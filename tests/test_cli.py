@@ -230,14 +230,6 @@ def test_enumerate_verb(capsys):
     assert brute[1].splitlines()[-1] == "2 results"
 
 
-def test_enumerate_jobs_deterministic(capsys):
-    one = run(capsys, "enumerate", "--level", "2", "--all-templates",
-              "--jobs", "1", "--json")
-    two = run(capsys, "enumerate", "--level", "2", "--all-templates",
-              "--jobs", "4", "--json")
-    assert one == two
-
-
 def test_probe_verb(capsys):
     code, out, _ = run(capsys, "probe", "id", "--level", "1", "--depth", "3")
     assert code == 0
@@ -262,11 +254,11 @@ def test_exit_codes(capsys):
     # parse error in an element expression
     code, _, err = run(capsys, "normalize", "S[3]")
     assert code == 2 and "parse error" in err
-    # a cycle index or mask bit that is not a number
+    # a cycle index that is not a number
     for argv, token in ((("check-ext", "(1 x)", "--level", "2", "--template",
                           "U+"), "(1 x)"),
                         (("construct", "--level", "3", "--template", "M1:1",
-                          "--mask1", "ab"), "'ab'")):
+                          "--sigma1", "(1 x)"), "(1 x)")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert one_line_error(err) and "parse error" in err and token in err
@@ -573,6 +565,18 @@ def test_verify_counts_level2(capsys):
     assert code == 0
     assert out.splitlines()[-1] == (
         "verify-counts level=2 templates_ok=4/4 checks=6 result=PASS"
+    )
+
+
+def test_verify_counts_level4(capsys):
+    # each mixed family is the whole level-4 classification of its template
+    code, out, _ = run(capsys, "verify-counts", "--level", "4")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2:8] == [f"M{v}:{h}\tcount=576\texpected=576\tok"
+                          for h in range(3) for v in (1, 2)]
+    assert lines[-1] == (
+        "verify-counts level=4 templates_ok=8/8 checks=5456 result=PASS"
     )
 
 

@@ -331,6 +331,14 @@ def test_parser():
         parse_element("U +")
 
 
+def test_parsed_coefficients_are_int_unless_a_slash_is_written():
+    ints = parse_element("P[1] + 2*P[2] - U").terms
+    assert sorted(ints.values()) == [-1, 1, 2]
+    assert all(type(c) is int for c in ints.values())
+    (half,) = parse_element("1/2*U").terms.values()
+    assert type(half) is Fraction and half == Fraction(1, 2)
+
+
 @given(elements)
 def test_str_round_trip(e):
     assert parse_element(element_str(e)) == e

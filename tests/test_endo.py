@@ -189,8 +189,10 @@ def test_menu_capacity_past_level_4():
         next(labels)
     with pytest.raises(CapacityError):
         u_templates_labeled(5)
-    # a family found before the inner section stays reachable
-    assert len(constructive_family(5, mixed_template(5, 2, 1))) == 64
+    # a family found before the inner section is reached, and refused by
+    # its size: (8!)^2 members
+    with pytest.raises(CapacityError, match=str(factorial(8) ** 2)):
+        constructive_family(5, mixed_template(5, 2, 1))
 
 
 def test_make_u_p():
@@ -216,6 +218,16 @@ def test_make_u_sigma():
         assert len({pu.perm for pu in fam}) == 4
         for pu in fam:
             assert check_extension(pu, mixed_template(3, h, variant))
+    # at level 4, (1 2) swaps the words 11 and 12 and fixes 21 and 22: for
+    # h >= 1 it permutes the tail under one head only, so it is no mask of
+    # head flips times a tail permutation, and it still extends
+    for h in (1, 2):
+        for variant in (1, 2):
+            pu = make_u_sigma(4, h, variant, parse_cycles(4, "(1 2)"),
+                              parse_cycles(4, "(2 4 3)"))
+            assert check_extension(pu, mixed_template(4, h, variant))
+    with pytest.raises(DomainError):
+        make_u_sigma(3, 0, 1, (0, 0))
     with pytest.raises(DomainError):
         make_u_sigma(3, 2, 1)
     with pytest.raises(DomainError):

@@ -230,22 +230,18 @@ def test_only_ext2_survivors_reach_the_extension_checker(monkeypatch):
 
 
 def test_level4_brute_force_matches_the_families():
+    # construction equals classification for all 8 pure and mixed level-4
+    # templates (U+ and U- take a few seconds each) and for a sample of
+    # inner ones
     rng = random.Random(13)
-    inner = rng.sample(list(template_labels(4))[8:], 6)
-    with time_limit(60, "level-4 brute force on 12 templates"):
-        for label in ["M1:0", "M2:0"] + inner:
-            kind, template = parse_template(4, label)
-            family = {pu.perm for pu in constructive_family(4, template, kind)}
+    labels = list(template_labels(4))
+    with time_limit(60, "level-4 brute force on 14 templates"):
+        for label in labels[:8] + rng.sample(labels[8:], 6):
+            _kind, template = parse_template(4, label)
+            family = {pu.perm for pu in constructive_family(4, template)}
             assert set(found(4, template)) == family, label
-        for h in (1, 2):
-            for variant in (1, 2):
-                label = f"M{variant}:{h}"
-                kind, template = parse_template(4, label)
-                family = {pu.perm
-                          for pu in constructive_family(4, template, kind)}
-                brute = found(4, template)
-                assert len(family) == 16 and len(brute) == 576, label
-                assert family <= set(brute), label
+            if label.startswith("M"):
+                assert len(family) == 576, label
 
 
 # reading a template's kind -------------------------------------------------------
