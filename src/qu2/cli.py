@@ -245,6 +245,13 @@ def cmd_construct(args):
         raise DomainError(
             f"construct needs a template name, got {args.template!r}")
     kind, template = labelled
+    # each kind reads its own options: refuse the options of another kind
+    foreign = {"pure": ("sigma1", "sigma2"), "mixed": ("perm",),
+               "inner": ("perm", "sigma1", "sigma2")}[kind[0]]
+    for name in foreign:
+        if getattr(args, name) is not None:
+            raise ParseError(f"--{name} does not apply to template "
+                             f"{args.template!r}")
     if kind[0] == "pure":
         size = 1 << (k - 1)
         p = parse_cycles(size, args.perm) if args.perm else identity_perm(size)

@@ -407,7 +407,8 @@ def putnam_form(e: Element) -> List[Tuple[Element, int]]:
     t(a) - t(b) + 2^|a| * k; both splits of expand_right keep |a| - |b| and
     this exponent, so it is that of every expansion of the term.  Terms
     sharing an exponent pool their projections.  Returns (projection,
-    exponent) pairs sorted by exponent.
+    exponent) pairs sorted by exponent, after asserting that both the
+    p_j and their translates U^-n_j p_j U^n_j sum to 1, on the words.
     """
     f = _unitary_terms(e, "putnam_form")
     groups: Dict[int, List[Word]] = {}
@@ -417,14 +418,19 @@ def putnam_form(e: Element) -> List[Tuple[Element, int]]:
         groups.setdefault(offset(a) - offset(b) + (k << len(a)), []).append(a)
     out = [(Element({Monomial(a, 0, a): 1 for a in groups[n]}), n)
            for n in sorted(groups)]
-    # both partition-of-unity conditions hold for any gauge-invariant unitary
-    ident = Element({ONE: 1})
-    assert eq(Element.from_terms((1, m) for p, _n in out for m in p.terms), ident)
-    shifted = zero()
-    for p, n in out:
-        shifted = shifted + u(-n) * p * u(n)
-    assert eq(shifted, ident)
+    assert _is_partition_of_unity(out)
     return out
+
+
+def _is_partition_of_unity(pairs: List[Tuple[Element, int]]) -> bool:
+    """True iff sum_j p_j = 1 and sum_j U^-n_j p_j U^n_j = 1 for pairs
+    (sum of projections p_j, exponent n_j).  U^-n S_a = S_a'' U^q with
+    t(a'') = (t(a) - n) mod 2^|a|, so U^-n P_a U^n = P_a'', and a sum of
+    projections P_w is 1 iff the words w form a partition."""
+    words = [(m.alpha, n) for p, n in pairs for m in p.terms]
+    return (is_partition(a for a, _n in words)
+            and is_partition(decode(len(a), (offset(a) - n) % (1 << len(a)))
+                             for a, n in words))
 
 
 def bd_v_factor(e: Element) -> Tuple[Element, Element]:

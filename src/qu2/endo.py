@@ -504,8 +504,9 @@ def _extendible(k: int, template: Element) -> Iterator[Perm]:
 
 def _forced_images(k: int, images: List[Element]) -> Dict[int, int]:
     """{a: b} over lex indices of length-k words with Utilde S_a = S_b, from
-    images[a] = Utilde S_a.  A term of the refined form proposes b; eq
-    decides."""
+    images[a] = Utilde S_a.  A term of the refined form proposes b; a
+    refined form of one term is S_b only as the term (b, 0, ()) with
+    coefficient 1, and eq decides the others."""
     forced = {}
     for a, image in enumerate(images):
         f = _refine(image)
@@ -513,7 +514,11 @@ def _forced_images(k: int, images: List[Element]) -> Dict[int, int]:
         if m is None or len(m.alpha) - len(m.beta) != k:
             continue
         b = m.alpha[:k]
-        if eq(image, s(b)):
+        if len(f) == 1:
+            hit = m.k == 0 and not m.beta and f[m] == 1
+        else:
+            hit = eq(image, s(b))
+        if hit:
             forced[a] = lex_index(b)
     return forced
 

@@ -218,6 +218,18 @@ def test_construct_verb(capsys):
     assert json.loads(out)["verified"] is True
 
 
+def test_construct_refuses_options_of_another_kind(capsys):
+    # --perm is read by U+/U- only, --sigma1/--sigma2 by M1:h/M2:h only
+    for template, option in (("U+", "--sigma1"), ("U-", "--sigma2"),
+                             ("M1:0", "--perm"), ("M2:1", "--perm"),
+                             ("AD:id", "--perm"), ("AD*:(1 2)", "--sigma1"),
+                             ("AD:(1 2)", "--sigma2")):
+        code, out, err = run(capsys, "construct", "--level", "3",
+                             "--template", template, option, "(1 2)")
+        assert (code, out) == (2, ""), (template, option)
+        assert one_line_error(err) and "parse error" in err and option in err
+
+
 def test_enumerate_verb(capsys):
     code, out, _ = run(capsys, "enumerate", "--level", "2", "--all-templates")
     assert code == 0

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qu2.element
 from qu2.canrep import apply_basis, semantic_eq
 from qu2.errors import CapacityError, DomainError, ParseError
 from qu2.element import (
     Element,
     _expand,
     _first_difference,
+    _is_partition_of_unity,
     bd_v_factor,
     element_str,
     eq,
@@ -21,6 +23,7 @@ from qu2.element import (
     one,
     parse_element,
     phi,
+    proj,
     putnam_form,
     s,
     s_star,
@@ -31,9 +34,10 @@ from qu2.element import (
 )
 from qu2.monomial import Monomial, expand_right, mono_mul
 from qu2.wgroup import Diagram, from_element, reduce, to_element
-from qu2.words import carets, is_partition
+from qu2.words import carets, decode, is_partition, offset
 
 from test_cli import time_limit
+from test_wgroup import diagrams
 
 words = st.lists(st.sampled_from((1, 2)), max_size=3).map(tuple)
 monos = st.builds(Monomial, words, st.integers(-8, 8), words)
@@ -283,6 +287,76 @@ def test_bd_v_factor():
     assert eq(bd, d) and eq(v, one())
     with pytest.raises(DomainError):
         bd_v_factor(parse_element("S[2]"))
+
+
+# -- putnam_form's self-check, decided on words ------------------------------
+
+def element_product_check(pairs):
+    """sum_j p_j = 1 and sum_j U^-n_j p_j U^n_j = 1, decided by Element
+    products and eq: the reference for _is_partition_of_unity."""
+    if not eq(Element.from_terms((1, m) for p, _n in pairs for m in p.terms),
+              one()):
+        return False
+    shifted = zero()
+    for p, n in pairs:
+        shifted = shifted + u(-n) * p * u(n)
+    return eq(shifted, one())
+
+
+def test_translated_projection_is_a_projection():
+    # U^-n P_a U^n = P_a'' with t(a'') = (t(a) - n) mod 2^|a|
+    rng = random.Random(16)
+    cases = [tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 10)))
+             for _ in range(150)]
+    cases.append(tuple(rng.choice((1, 2)) for _ in range(64)))
+    for a in cases:
+        for n in (rng.randint(-1 << 12, 1 << 12), 1 << 12, -1 << 12):
+            moved = decode(len(a), (offset(a) - n) % (1 << len(a)))
+            assert eq(u(-n) * proj(a) * u(n), proj(moved)), (a, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagrams(), st.data())
+def test_partition_of_unity_matches_element_products(d, data):
+    pairs = putnam_form(bd_v_factor(to_element(d))[0])
+    assert _is_partition_of_unity(pairs) and element_product_check(pairs)
+    # one exponent shifted by +-1: the translated group is a partition of
+    # unity again only when it is the whole of it
+    j = data.draw(st.integers(0, len(pairs) - 1))
+    step = data.draw(st.sampled_from((1, -1)))
+    shifted = list(pairs)
+    shifted[j] = (pairs[j][0], pairs[j][1] + step)
+    assert (_is_partition_of_unity(shifted) == element_product_check(shifted)
+            == (len(pairs) == 1))
+    # one projection dropped
+    p, n = pairs[j]
+    dropped = list(pairs)
+    dropped[j] = (Element(dict(sorted(p.terms.items())[1:])), n)
+    assert not _is_partition_of_unity(dropped)
+    assert not element_product_check(dropped)
+
+
+def test_partition_of_unity_accepts_exponents_off_by_a_period():
+    # U^-n P_a U^n depends on n only mod 2^|a|, so neither check sees it
+    pairs = putnam_form(F)  # P[12] at -1, P[11] + P[22] at 0, P[21] at 1
+    pairs[0] = (pairs[0][0], pairs[0][1] + 4)
+    assert _is_partition_of_unity(pairs) and element_product_check(pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagrams())
+def test_putnam_form_builds_no_product(d):
+    bd = bd_v_factor(to_element(d))[0]
+    want = putnam_form(bd)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("putnam_form went through Element products")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Element, "__mul__", refuse)
+        mp.setattr(qu2.element, "eq", refuse)
+        mp.setattr(qu2.element, "u", refuse)
+        assert putnam_form(bd) == want
 
 
 def test_total_charge():

@@ -19,7 +19,7 @@ import pytest
 
 from qu2 import endo
 from qu2.cli import main
-from qu2.element import (eq, flip_flop, is_unitary, normalize, one,
+from qu2.element import (_refine, eq, flip_flop, is_unitary, normalize, one,
                          parse_element, proj, s, u, zero)
 from qu2.endo import (
     PermUnitary,
@@ -212,6 +212,32 @@ def test_ext2_pruning_keeps_the_ext1_search_results():
         assert found(k, template) == expected
         hits += bool(expected)
     assert hits >= 70
+
+
+def forced_by_eq(k, images):
+    """{a: b} over lex indices with eq(images[a], S_b), every length-k word
+    b tried: the forced map with no shortcut."""
+    return {a: b for a, image in enumerate(images)
+            for b, w in enumerate(all_words(k)) if eq(image, s(w))}
+
+
+def test_forced_images_match_eq_on_every_word():
+    hidden_zero = one() - sum((proj(v) for v in all_words(4)), zero())
+    cases = [(k, t) for k in (2, 3) for _label, t in u_templates_labeled(k)]
+    cases += [(3, t) for t in random_templates(3, 60, seed=2)]
+    # a zero that cancels only when split, and one-term images whose
+    # coefficient is not 1
+    cases += [(3, hidden_zero + u(4)), (3, u(4).scale(2)), (3, -u(-4))]
+    one_term = {True: 0, False: 0}
+    for k, template in cases:
+        images = [template * s(w) for w in all_words(k)]
+        forced = endo._forced_images(k, images)
+        assert forced == forced_by_eq(k, images), template
+        for a, image in enumerate(images):
+            if len(_refine(image)) == 1:
+                one_term[a in forced] += 1
+    # the one-term shape is met both forced and refused
+    assert min(one_term.values()) > 0
 
 
 def test_only_ext2_survivors_reach_the_extension_checker(monkeypatch):
