@@ -11,9 +11,13 @@ unitary Utilde satisfies
 check_extension decides both equations by element arithmetic for any
 candidate Utilde; the constructive families (make_u_p, make_u_sigma,
 make_inner_phi) build unitaries that pass it for the standard template
-menu, and enumerate_extendible classifies all extendible permutations of a
-level by a search that both equations prune, word by word, and that the
-extension checker verifies.
+menu, and enumerate_extendible classifies, for one template, the
+extendible permutations of a level by a search that both equations
+prune, word by word, and that the extension checker verifies.  A
+permutation unitary is its index tuple: products, adjoints, phi and the
+rewriting one level up are index maps (PermUnitary), so make_u_p, the u
+of make_inner_phi and the automorphism probe's tower use no Element
+arithmetic.
 """
 
 from __future__ import annotations
@@ -23,14 +27,26 @@ import re
 from math import factorial
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .element import (Element, _expand, _refine, eq, flip_flop, is_unitary,
-                      normalize, one, parse_element, phi, s, total_charge, u)
+from .element import (Element, _expand, _refine, eq, is_unitary, normalize,
+                      one, parse_element, s, total_charge, u)
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import Monomial, new_monomial
 from .wgroup import from_element, reduce, to_element
 from .words import Word, all_words, decode, lex_index
 
 Perm = Tuple[int, ...]  # perm[i] = lex index of the image of the i-th word
+
+# the deepest level whose 2^level words get listed, as a permutation, a
+# template or a probe's tower: a level-2 probe to depth 17 reaches it in
+# about 0.4 s on a 2-core VM.  A deeper level is refused before anything of
+# its size is built.
+_MAX_LISTED_LEVEL = 18
+
+
+def _check_listable(level: int) -> None:
+    if level > _MAX_LISTED_LEVEL:
+        raise CapacityError(f"level {level} has 2^{level} words; at most "
+                            f"level {_MAX_LISTED_LEVEL} can be listed")
 
 
 def identity_perm(size: int) -> Perm:
@@ -65,7 +81,9 @@ def perm_to_cycles(perm: Perm) -> str:
 
 def parse_cycles(size: int, text: str) -> Perm:
     """Inverse of perm_to_cycles; also accepts dense digits like '(1342)'
-    when every index is a single digit."""
+    when every index is a single digit.  size is 2^level for the level
+    of the words permuted."""
+    _check_listable(size.bit_length() - 1)
     text = text.strip()
     perm = list(range(size))
     if text in ("id", "()", ""):
@@ -97,8 +115,41 @@ def parse_cycles(size: int, text: str) -> Perm:
 
 
 class PermUnitary(NamedTuple):
+    """u = sum_w S_rho(w) S_w* over the length-level words, as rho's tuple.
+
+    With j the lex index of w, the word i w has index (i-1) 2^level + j and
+    the word w i has index 2j + (i-1), so products, adjoints, phi and the
+    rewriting one level up are index maps.  Two permutation unitaries are
+    the same operator iff their tuples agree at a common level."""
     level: int
     perm: Perm
+
+    def __matmul__(self, other: PermUnitary) -> PermUnitary:
+        """The product: rho_self after rho_other, at the higher level."""
+        a, b = self, other
+        while a.level < b.level:
+            a = a.promote()
+        while b.level < a.level:
+            b = b.promote()
+        return PermUnitary(a.level, tuple([a.perm[i] for i in b.perm]))
+
+    def inverse(self) -> PermUnitary:
+        """The adjoint u*, which is rho^-1."""
+        inv = [0] * len(self.perm)
+        for i, image in enumerate(self.perm):
+            inv[image] = i
+        return PermUnitary(self.level, tuple(inv))
+
+    def phi(self) -> PermUnitary:
+        """phi(u) = S_1 u S_1* + S_2 u S_2*, one level up: i w -> i rho(w)."""
+        half = len(self.perm)
+        return PermUnitary(self.level + 1,
+                           self.perm + tuple([x + half for x in self.perm]))
+
+    def promote(self) -> PermUnitary:
+        """The same operator one level up: w i -> rho(w) i."""
+        return PermUnitary(self.level + 1,
+                           tuple([x + x + i for x in self.perm for i in (0, 1)]))
 
     @property
     def element(self) -> Element:
@@ -189,6 +240,7 @@ def phi_pow_proj(h: int, i: int) -> Element:
 
 
 def mixed_template(k: int, h: int, variant: int) -> Element:
+    _check_listable(k)
     if not 0 <= h <= k - 2:
         raise DomainError(f"h must lie in 0..{k - 2}")
     if variant not in (1, 2):
@@ -220,6 +272,7 @@ def parse_template(k: int, label: str) -> Optional[Tuple[tuple, Element]]:
         return None
     if k < 2:
         raise DomainError(f"template menu needs level k >= 2, got {k}")
+    _check_listable(k)
     pure, variant, h, star, cycles = m.groups()
     if pure:
         kind = ("pure", 1 if pure == "+" else -1)
@@ -250,27 +303,40 @@ def template_labels(k: int) -> Iterator[str]:
     for h in range(k - 1):
         for variant in (1, 2):
             yield f"M{variant}:{h}"
-    if k > _MAX_MENU_LEVEL:
-        raise CapacityError(
-            f"the level-{k} menu has {_menu_size(k)} templates; "
-            f"the full menu needs level <= {_MAX_MENU_LEVEL}")
+    _check_menu_level(k)
     for pperm in itertools.permutations(range(1 << (k - 1))):
         cycles = perm_to_cycles(pperm)
         yield f"AD:{cycles}"
         yield f"AD*:{cycles}"
 
 
-def _menu_size(k: int) -> int:
+def _check_menu_level(k: int) -> None:
+    if k > _MAX_MENU_LEVEL:
+        raise CapacityError(
+            f"the level-{k} menu has {_menu_size(k)} templates; "
+            f"the full menu needs level <= {_MAX_MENU_LEVEL}")
+
+
+def _factorial_count(e: int, power: int = 1) -> Optional[int]:
+    """((2^e)!)^power, or None past e = 5, where a count is named by its
+    closed form instead: (2^5)! has 36 digits, (2^11)! over 5,000."""
+    return factorial(1 << e) ** power if e <= 5 else None
+
+
+def _menu_size(k: int) -> str:
     """Entries of template_labels(k): U+ and U-, 2(k-1) mixed, and
     2 (2^{k-1})! inner."""
-    return 2 + 2 * (k - 1) + 2 * factorial(1 << (k - 1))
+    inner = _factorial_count(k - 1)
+    return f"2*(2^{k - 1})! + {2 * k}" if inner is None else str(2 * k + 2 * inner)
 
 
 def u_templates_labeled(k: int) -> List[Tuple[str, Element]]:
     """The standard menu of candidate images of U at level k as (label,
     element) pairs: U^{±2^{k-1}}, the mixed projection pairs for each h,
     and the inner images p U p* and p U* p* over the level-(k-1)
-    permutation unitaries."""
+    permutation unitaries.  Past level _MAX_MENU_LEVEL it is refused before
+    any template is built."""
+    _check_menu_level(k)
     return [(label, parse_template(k, label)[1]) for label in template_labels(k)]
 
 
@@ -279,25 +345,20 @@ def u_templates_labeled(k: int) -> List[Tuple[str, Element]]:
 def make_u_p(p: Sequence[int], sign: int) -> PermUnitary:
     """u_p^+ (sign +1) or u_p^- (sign -1) at level k = |mu| + 1: the
     permutation mu -> p(mu) braided with a final letter, extendible with
-    image of U equal to U^{±2^{k-1}}."""
+    image of U equal to U^{±2^{k-1}}: u_p^+ maps 1 p(mu) to mu 1 and
+    2 p(mu) to mu 2, and u_p^- swaps those endings."""
     p = tuple(p)
     size = len(p)
     if size & (size - 1) or size == 0:
         raise DomainError("p must permute the words of some fixed length")
-    km1 = size.bit_length() - 1
     if sorted(p) != list(range(size)):
         raise DomainError("p is not a permutation")
-    words = all_words(km1)
-    mapping: Dict[Word, Word] = {}
-    for idx, mu in enumerate(words):
-        pmu = words[p[idx]]
-        if sign > 0:
-            mapping[(1,) + pmu] = mu + (1,)
-            mapping[(2,) + pmu] = mu + (2,)
-        else:
-            mapping[(2,) + pmu] = mu + (1,)
-            mapping[(1,) + pmu] = mu + (2,)
-    return PermUnitary(km1 + 1, perm_from_word_map(km1 + 1, mapping))
+    end1, end2 = (0, 1) if sign > 0 else (1, 0)
+    perm = [0] * (2 * size)
+    for mu, pmu in enumerate(p):
+        perm[pmu] = 2 * mu + end1
+        perm[size + pmu] = 2 * mu + end2
+    return PermUnitary(size.bit_length(), tuple(perm))
 
 
 def make_u_sigma(k: int, h: int, variant: int,
@@ -360,15 +421,16 @@ def enumerate_u_sigma(k: int, h: int, variant: int) -> Iterator[PermUnitary]:
         yield make_u_sigma(k, h, variant, side1, side2)
 
 
+_FLIP_FLOP = PermUnitary(1, (1, 0))  # f = S_1 S_2* + S_2 S_1*
+
+
 def make_inner_phi(p: PermUnitary, with_flip: bool) -> ExtendedEndo:
     """The inner-perturbation endomorphism x -> p x p* (composed with the
     flip-flop when asked): u = p phi(p*) (times f), image of U = pUp*
     (resp. pU*p*)."""
-    p_el = p.element
-    u_el = p_el * phi(p_el.adjoint())
+    pu = p.promote() @ p.inverse().phi()
     if with_flip:
-        u_el = u_el * flip_flop()
-    pu = perm_unitary_from_element(u_el, p.level + 1)
+        pu = pu @ _FLIP_FLOP
     return extend(pu, _inner_image(p, with_flip))
 
 
@@ -591,21 +653,22 @@ def constructive_family(k: int, template: Element) -> List[PermUnitary]:
     return _family(k, kind)
 
 
-def _family_size(k: int, kind: tuple) -> int:
-    """Closed-form member count: (2^(k-1))! for U±, ((2^(k-2))!)^2 for a
-    mixed template, 1 for an inner one."""
+def _family_size(k: int, kind: tuple) -> Tuple[Optional[int], str]:
+    """Closed-form member count and its formula: (2^(k-1))! for U±,
+    ((2^(k-2))!)^2 for a mixed template, 1 for an inner one.  The count is
+    None where _factorial_count names it by the formula alone."""
     if kind[0] == "pure":
-        return factorial(1 << (k - 1))
+        return _factorial_count(k - 1), f"(2^{k - 1})!"
     if kind[0] == "mixed":
-        return factorial(1 << (k - 2)) ** 2
-    return 1
+        return _factorial_count(k - 2, 2), f"((2^{k - 2})!)^2"
+    return 1, "1"
 
 
 def _family(k: int, kind: tuple) -> List[PermUnitary]:
-    size = _family_size(k, kind)
-    if size > _MAX_FAMILY:
-        raise CapacityError(f"the family has {size} members; "
-                            f"at most {_MAX_FAMILY} can be listed")
+    size, formula = _family_size(k, kind)
+    if size is None or size > _MAX_FAMILY:
+        raise CapacityError(f"the family has {formula if size is None else size}"
+                            f" members; at most {_MAX_FAMILY} can be listed")
     if kind[0] == "pure":
         return list(enumerate_u_p(k, kind[1]))
     if kind[0] == "mixed":
@@ -648,37 +711,32 @@ class ProbeResult(NamedTuple):
         return self.stabilized_at is not None
 
 
-# step k multiplies tower elements of 2^(level + k - 1) terms: level 2 at
-# depth 9 takes 0.7 s on a 2-core VM, and each step costs 4x the one before
-_MAX_PROBE_LEVEL = 10
-
-
 def automorphism_probe(pu: PermUnitary, depth: int = 6) -> ProbeResult:
     """Look for exact stabilization of w_k = u_k* u* u_k with
     u_k = u phi(u) ... phi^{k-1}(u).
 
     Stabilization certifies an automorphism with inverse given by the
     witness; no stabilization within the depth budget is reported as
-    inconclusive, never as a negative.
+    inconclusive, never as a negative.  The tower runs on index tuples:
+    step k costs a few passes over the 2^(level + k - 1) words, twice the
+    step before, and a step past level _MAX_LISTED_LEVEL is refused.  w_k
+    sits one level above w_(k-1), so the two are compared promoted.
     """
     if depth < 2:
         raise DomainError("probe needs depth >= 2")
-    u_el = pu.element
-    u_star = u_el.adjoint()
-    u_k = prev_w = None
-    phi_u = u_el  # phi^(k-1)(u)
+    u_star = pu.inverse()
+    u_k = phi_u = pu  # u_k and phi^(k-1)(u), both at level + k - 1
+    prev_w = None
     for k in range(1, depth + 1):
-        if pu.level + k - 1 > _MAX_PROBE_LEVEL:
+        if pu.level + k - 1 > _MAX_LISTED_LEVEL:
             raise CapacityError(f"probe step {k} needs level-{pu.level + k - 1} "
-                                f"tower elements; at most {_MAX_PROBE_LEVEL}")
-        if k == 1:
-            u_k = u_el
-        else:
-            phi_u = phi(phi_u)
-            u_k = u_k * phi_u
-        w_k = u_k.adjoint() * u_star * u_k
-        if prev_w is not None and eq(prev_w, w_k):
-            return ProbeResult(k - 1, prev_w)
+                                f"tower elements; at most {_MAX_LISTED_LEVEL}")
+        if k > 1:
+            phi_u = phi_u.phi()
+            u_k = u_k @ phi_u
+        w_k = u_k.inverse() @ u_star @ u_k
+        if prev_w is not None and prev_w.promote() == w_k:
+            return ProbeResult(k - 1, prev_w.element)
         prev_w = w_k
     return ProbeResult(None, None)
 
@@ -729,7 +787,7 @@ def run_verify_counts(level, sample=1000):
         kind, template = parse_template(level, label)
         if kind[0] == "inner":
             break
-        expected = _family_size(level, kind)
+        expected = _family_size(level, kind)[0]
         members = _family(level, kind)
         count_ok = len(members) == len({pu.perm for pu in members}) == expected
         idx = range(len(members))

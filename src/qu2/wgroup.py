@@ -32,7 +32,8 @@ Tree = object  # 0 for a leaf, (Tree, Tree) for an interior node
 LEAF = 0
 
 # trees deeper than this are refused, from diagram JSON and from elements:
-# the tree walks below and the JSON codec recurse once per level
+# leaves, _leaf_count and _tree walk a stack, but tree_from_obj, the JSON
+# codec and render's _layout recurse once per level
 _MAX_TREE_DEPTH = 512
 
 

@@ -1,8 +1,6 @@
 """End-to-end tests for the command-line driver (in-process main())."""
 
-import contextlib
 import json
-import signal
 
 import pytest
 
@@ -10,15 +8,13 @@ from qu2.cli import main
 from qu2.element import element_str, eq, from_json, parse_element, u
 from qu2.endo import mixed_template, perm_unitary_from_cycles
 
+from helpers import one_line_error, run_limited, time_limit
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
-
-
-def one_line_error(err):
-    return err.count("\n") == 1 and err.startswith("qu2: ")
 
 
 # ---------------------------------------------------------------- algebra verbs
@@ -309,21 +305,6 @@ def test_negative_level_names_the_level(capsys):
     assert one_line_error(err) and "level" in err and "-1" in err
 
 
-@contextlib.contextmanager
-def time_limit(seconds, what):
-    """Raise TimeoutError in the block after the given wall time."""
-    def stop(_signum, _frame):
-        raise TimeoutError(f"{what} took over {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def test_templates_past_level_4_is_capacity_error(capsys):
     # the level-5 inner section has 2 * 16! entries; it must be refused
     # before any of it is built, not time out
@@ -525,11 +506,73 @@ def test_element_diagram_at_depth_cap(capsys):
 
 
 def test_probe_past_budget_is_capacity_error(capsys):
-    with time_limit(10, "probe of a level-2 4-cycle at depth 11"):
+    with time_limit(10, "probe of a level-2 4-cycle at depth 18"):
         code, out, err = run(capsys, "probe", "(1 3 4 2)", "--level", "2",
-                             "--depth", "11")
+                             "--depth", "18")
     assert (code, out) == (1, "")
-    assert one_line_error(err) and "probe step 10" in err
+    assert one_line_error(err) and "probe step 18" in err
+
+
+def test_probe_reaches_level_18(capsys):
+    # the tower runs on index tuples, so depth 17 from level 2 is cheap
+    with time_limit(5, "probe of a level-2 4-cycle at depth 17"):
+        code, out, _ = run(capsys, "probe", "(1 3 4 2)", "--level", "2",
+                           "--depth", "17")
+    assert (code, out) == (0, "inconclusive (depth 17)\n")
+
+
+# each of these once listed 2^26 words or more, or built every M*:h of a
+# level-30 menu, before any capacity check; the child's 1.5 GB address
+# space keeps such a run from exhausting the machine
+@pytest.mark.parametrize("argv", [
+    ("construct", "--level", "30", "--template", "U+"),
+    ("construct", "--level", "26", "--template", "M1:0"),
+    ("probe", "id", "--level", "27"),
+    ("check-ext", "id", "--level", "27", "--template", "U+"),
+    ("enumerate", "--level", "30", "--mode", "constructive",
+     "--template", "M1:27"),
+    ("templates", "--level", "30"),
+])
+def test_huge_level_is_refused_before_listing(argv):
+    code, out, err = run_limited(argv, 5, 1500 << 20)
+    assert (code, out) == (1, ""), (argv, err)
+    assert one_line_error(err) and "level" in err, (argv, err)
+
+
+# counts past 4,300 digits once failed Python's integer formatting
+@pytest.mark.parametrize("argv", [
+    ("templates", "--level", "10"),
+    ("templates", "--level", "12"),
+    ("enumerate", "--level", "12", "--all-templates"),
+    ("enumerate", "--level", "12", "--mode", "constructive", "--template", "U+"),
+    ("enumerate", "--level", "12", "--mode", "constructive",
+     "--template", "M1:0"),
+    ("verify-counts", "--level", "12"),
+])
+def test_huge_counts_are_named_by_closed_form(argv):
+    code, out, err = run_limited(argv, 5, 1500 << 20)
+    assert (code, out) == (1, ""), (argv, err)
+    assert one_line_error(err) and "!" in err and len(err) < 200, (argv, err)
+
+
+def test_level5_capacity_messages(capsys):
+    for argv, message in (
+            (("templates", "--level", "5"),
+             "the level-5 menu has 41845579776010 templates; the full menu "
+             "needs level <= 4"),
+            (("enumerate", "--level", "5", "--all-templates"),
+             "brute force over all 41845579776010 level-5 templates is not "
+             "tractable; search one template at a time, or level <= 3"),
+            (("enumerate", "--level", "5", "--mode", "constructive",
+              "--template", "U+"),
+             "the family has 20922789888000 members; at most 100000 can be "
+             "listed"),
+            (("enumerate", "--level", "5", "--mode", "constructive",
+              "--template", "M2:3"),
+             "the family has 1625702400 members; at most 100000 can be "
+             "listed")):
+        with time_limit(10, " ".join(argv)):
+            assert run(capsys, *argv) == (1, "", f"qu2: error: {message}\n")
 
 
 # ---------------------------------------------------------------- suites

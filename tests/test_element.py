@@ -36,7 +36,7 @@ from qu2.monomial import Monomial, expand_right, mono_mul
 from qu2.wgroup import Diagram, from_element, reduce, to_element
 from qu2.words import carets, decode, is_partition, offset
 
-from test_cli import time_limit
+from helpers import time_limit
 from test_wgroup import diagrams
 
 words = st.lists(st.sampled_from((1, 2)), max_size=3).map(tuple)

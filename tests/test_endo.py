@@ -5,11 +5,14 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qu2 import element as element_module, endo as endo_module
 from qu2.errors import CapacityError, DomainError, ParseError
 from qu2.element import (
+    Element,
     element_str,
     eq,
     flip_flop,
+    normalize,
     one,
     parse_element,
     phi,
@@ -18,6 +21,8 @@ from qu2.element import (
 )
 from qu2.endo import (
     PermUnitary,
+    ProbeResult,
+    _inner_image,
     automorphism_probe,
     check_extension,
     check_extension_parts,
@@ -32,6 +37,7 @@ from qu2.endo import (
     make_u_sigma,
     mixed_template,
     parse_cycles,
+    perm_from_word_map,
     perm_to_cycles,
     perm_unitary,
     perm_unitary_from_cycles,
@@ -40,6 +46,7 @@ from qu2.endo import (
     template_labels,
     u_templates_labeled,
 )
+from qu2.words import all_words
 
 f = flip_flop()
 
@@ -325,3 +332,175 @@ def test_probe_witness_inverts():
     for text in ("S[1]", "S[2]"):
         e = parse_element(text)
         assert eq(lambda_apply(endo_v, lambda_apply(endo_u, e)), e)
+
+
+# ------------------------------------------------- index tuples against Elements
+#
+# The old Element paths, kept as references: the probe multiplied tower
+# Elements, make_inner_phi went through phi, flip_flop and
+# perm_unitary_from_element, and make_u_p built a word map.
+
+_ELEMENT_PROBE_LEVEL = 10
+
+
+def element_probe(pu, depth=6):
+    if depth < 2:
+        raise DomainError("probe needs depth >= 2")
+    u_el = pu.element
+    u_star = u_el.adjoint()
+    u_k = prev_w = None
+    phi_u = u_el  # phi^(k-1)(u)
+    for k in range(1, depth + 1):
+        if pu.level + k - 1 > _ELEMENT_PROBE_LEVEL:
+            raise CapacityError(f"probe step {k} needs level-{pu.level + k - 1} "
+                                f"tower elements; at most {_ELEMENT_PROBE_LEVEL}")
+        if k == 1:
+            u_k = u_el
+        else:
+            phi_u = phi(phi_u)
+            u_k = u_k * phi_u
+        w_k = u_k.adjoint() * u_star * u_k
+        if prev_w is not None and eq(prev_w, w_k):
+            return ProbeResult(k - 1, prev_w)
+        prev_w = w_k
+    return ProbeResult(None, None)
+
+
+def element_inner_phi(p, with_flip):
+    p_el = p.element
+    u_el = p_el * phi(p_el.adjoint())
+    if with_flip:
+        u_el = u_el * flip_flop()
+    pu = perm_unitary_from_element(u_el, p.level + 1)
+    return extend(pu, _inner_image(p, with_flip))
+
+
+def word_map_u_p(p, sign):
+    p = tuple(p)
+    km1 = len(p).bit_length() - 1
+    words = all_words(km1)
+    mapping = {}
+    for idx, mu in enumerate(words):
+        pmu = words[p[idx]]
+        if sign > 0:
+            mapping[(1,) + pmu] = mu + (1,)
+            mapping[(2,) + pmu] = mu + (2,)
+        else:
+            mapping[(2,) + pmu] = mu + (1,)
+            mapping[(1,) + pmu] = mu + (2,)
+    return PermUnitary(km1 + 1, perm_from_word_map(km1 + 1, mapping))
+
+
+def all_perm_unitaries(level):
+    return [PermUnitary(level, p) for p in permutations(range(1 << level))]
+
+
+def seeded_perm_unitaries(level, n, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        p = list(range(1 << level))
+        rng.shuffle(p)
+        out.append(PermUnitary(level, tuple(p)))
+    return out
+
+
+@st.composite
+def perm_unitaries(draw, level=None):
+    if level is None:
+        level = draw(st.integers(0, 3))
+    return PermUnitary(level, tuple(draw(st.permutations(range(1 << level)))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 3).flatmap(lambda k: st.tuples(perm_unitaries(k),
+                                                     perm_unitaries(k))))
+def test_tuple_product_and_inverse_match_elements(pair):
+    a, b = pair
+    assert eq((a @ b).element, a.element * b.element)
+    assert eq(a.inverse().element, a.element.adjoint())
+
+
+@settings(deadline=None, max_examples=60)
+@given(perm_unitaries())
+def test_tuple_phi_and_promote_match_elements(a):
+    assert eq(a.phi().element, phi(a.element))
+    promoted = a.promote()
+    assert promoted.level == a.level + 1
+    assert eq(promoted.element, a.element)
+    # and the promoted tuple is the element's uniform form one level down
+    assert promoted == perm_unitary_from_element(
+        normalize(a.element, a.level + 1), a.level + 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(perm_unitaries(), perm_unitaries())
+def test_tuple_product_across_levels(a, b):
+    # the lower operand is promoted, so the product is the operator product
+    assert eq((a @ b).element, a.element * b.element)
+
+
+def _probe_pair(pu, depth):
+    new, ref = automorphism_probe(pu, depth), element_probe(pu, depth)
+    assert new.stabilized_at == ref.stabilized_at, pu
+    if ref.witness is None:
+        assert new.witness is None
+    else:
+        assert element_str(new.witness) == element_str(ref.witness), pu
+    return new
+
+
+def test_probe_matches_the_element_probe_levels_1_and_2():
+    for pu in all_perm_unitaries(1):
+        _probe_pair(pu, 8)
+    stabilized = [pu for pu in all_perm_unitaries(2)
+                  if _probe_pair(pu, 7).stabilized]
+    assert 0 < len(stabilized) < 24
+
+
+def test_probe_matches_the_element_probe_level_3():
+    # the 48 inner classification results all stabilize
+    inner = [make_inner_phi(p, flip).u
+             for p in all_perm_unitaries(2) for flip in (False, True)]
+    assert len({pu.perm for pu in inner}) == 48
+    assert all(_probe_pair(pu, 6).stabilized for pu in inner)
+    for pu in seeded_perm_unitaries(3, 24, seed=17):
+        _probe_pair(pu, 6)
+
+
+def test_make_inner_phi_matches_the_element_path():
+    ps = [pu for level in (0, 1, 2) for pu in all_perm_unitaries(level)]
+    ps += seeded_perm_unitaries(3, 12, seed=5)
+    for p in ps:
+        for flip in (False, True):
+            assert make_inner_phi(p, flip) == element_inner_phi(p, flip), p
+
+
+def test_make_u_p_matches_the_word_map():
+    ps = [p for size in (1, 2, 4) for p in permutations(range(size))]
+    ps += [pu.perm for pu in seeded_perm_unitaries(3, 200, seed=11)]
+    for p in ps:
+        for sign in (1, -1):
+            assert make_u_p(p, sign) == word_map_u_p(p, sign), (p, sign)
+
+
+def test_tuple_paths_build_no_element_products(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an Element path ran")
+
+    for name in ("__mul__", "adjoint"):
+        monkeypatch.setattr(Element, name, refuse)
+    for module in (element_module, endo_module):
+        for name in ("eq", "normalize", "phi", "flip_flop",
+                     "perm_unitary_from_element"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    # extend and the template are the caller's Element work, not the u's
+    monkeypatch.setattr(endo_module, "extend", lambda pu, ut: pu)
+    monkeypatch.setattr(endo_module, "_inner_image", lambda p, flip: None)
+    p = PermUnitary(2, (2, 0, 3, 1))
+    assert make_inner_phi(p, True).level == 3
+    assert make_u_p(p.perm, -1).level == 3
+    assert automorphism_probe(make_inner_phi(p, False), 4) is not None
+    assert not hasattr(endo_module, "phi")
+    assert not hasattr(endo_module, "flip_flop")

@@ -37,7 +37,7 @@ from qu2.errors import DomainError
 from qu2.wgroup import Diagram, to_element
 from qu2.words import all_words
 
-from test_cli import time_limit
+from helpers import time_limit
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

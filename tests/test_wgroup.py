@@ -35,7 +35,7 @@ from qu2.wgroup import (
     tree_from_words,
 )
 from qu2.words import carets, is_partition
-from test_cli import time_limit
+from helpers import time_limit
 from test_words import families
 
 F = parse_element("P[11] + S[12] S*[21] + S[21] S*[12] + P[22]")
