@@ -39,12 +39,14 @@ from .wgroup import (
 )
 from .endo import (
     PermUnitary,
+    _family,
     automorphism_probe,
     check_extension_parts,
     enumerate_extendible,
     enumerate_menu,
     extend,
     identity_perm,
+    label_kind,
     make_inner_phi,
     make_u_p,
     make_u_sigma,
@@ -189,20 +191,17 @@ def cmd_charge(args):
 
 
 def cmd_diagram(args):
-    d = from_element(parse_element(args.expr))
-    text = diagram_to_json(d)
+    text = diagram_to_json(from_element(parse_element(args.expr)))
     _emit(args, [text], json.loads(text))
 
 
 def cmd_render(args):
-    d = _parse_diagram_arg(args.arg)
-    out = diagram_render(d, args.format)
+    out = diagram_render(_parse_diagram_arg(args.arg), args.format)
     _emit(args, [out], {"format": args.format, "source": out})
 
 
 def cmd_reduce(args):
-    d = diagram_reduce(_parse_diagram_arg(args.arg))
-    text = diagram_to_json(d)
+    text = diagram_to_json(diagram_reduce(_parse_diagram_arg(args.arg)))
     _emit(args, [text], json.loads(text))
 
 
@@ -284,9 +283,14 @@ def cmd_enumerate(args):
     if args.all_templates:
         results = list(enumerate_menu(k, mode=args.mode))
     elif args.template:
-        template = _parse_template_arg(args.template, k)
-        results = [(args.template, pu)
-                   for pu in enumerate_extendible(k, template, mode=args.mode)]
+        # a label names its family, which _family sizes before any element
+        kind = label_kind(k, args.template)
+        if kind is not None and args.mode == "constructive":
+            members = _family(k, kind)
+        else:
+            template = _parse_template_arg(args.template, k)
+            members = enumerate_extendible(k, template, mode=args.mode)
+        results = [(args.template, pu) for pu in members]
     else:
         raise DomainError("enumerate needs --template or --all-templates")
     rows = [(label, perm_to_cycles(pu.perm), element_str(pu.element))

@@ -264,9 +264,9 @@ _TEMPLATE_LABEL = re.compile(r"^(?:U([+-])|M([12]):(\d+)|AD(\*?):(.+))$")
 _MAX_MENU_LEVEL = 4  # the inner section has 2 (2^{k-1})! entries
 
 
-def parse_template(k: int, label: str) -> Optional[Tuple[tuple, Element]]:
-    """(kind, element) of the template with this label at level k >= 2, or
-    None when the text is not a template label."""
+def label_kind(k: int, label: str) -> Optional[tuple]:
+    """The kind of the template with this label at level k >= 2, or None
+    when the text is not a template label.  No element is built."""
     m = _TEMPLATE_LABEL.match(label)
     if m is None:
         return None
@@ -275,12 +275,17 @@ def parse_template(k: int, label: str) -> Optional[Tuple[tuple, Element]]:
     _check_listable(k)
     pure, variant, h, star, cycles = m.groups()
     if pure:
-        kind = ("pure", 1 if pure == "+" else -1)
-    elif variant:
-        kind = ("mixed", int(h), int(variant))
-    else:
-        kind = ("inner", parse_cycles(1 << (k - 1), cycles), bool(star))
-    return kind, _kind_template(k, kind)
+        return ("pure", 1 if pure == "+" else -1)
+    if variant:
+        return ("mixed", int(h), int(variant))
+    return ("inner", parse_cycles(1 << (k - 1), cycles), bool(star))
+
+
+def parse_template(k: int, label: str) -> Optional[Tuple[tuple, Element]]:
+    """(kind, element) of the template with this label at level k >= 2, or
+    None when the text is not a template label."""
+    kind = label_kind(k, label)
+    return None if kind is None else (kind, _kind_template(k, kind))
 
 
 def _kind_template(k: int, kind: tuple) -> Element:

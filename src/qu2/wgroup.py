@@ -5,62 +5,59 @@ S_{leaf_p(T+)} U^{v(p)} S_{leaf_{tau(p)}(T-)}*.  These unitaries form a
 group under multiplication; this module multiplies, inverts and reduces
 diagrams, converts between diagrams and Elements, and draws them.
 
-The group works on leaf maps, one (alpha, k, beta) triple per leaf: a
-product walks the leaves of T1- and T2+ together in lex order, one output
-leaf per step, and a reduction merges sibling leaves in one pass over the
-leaves in lex order.  Neither builds an Element: to_element and
-from_element are the bridge to the algebra, for the CLI and for checking
-the group against the operator product.
+A Diagram is stored as its leaf map, one (alpha, k, beta) triple per leaf:
+alpha the T+ leaf, k its charge, beta the T- leaf it pairs with, in lex
+order of alpha.  Products, inverses and reductions read and write leaf
+maps and build no tree and no Element.  Trees exist only at the edges:
+the constructor walks them into words once, and the JSON codec and render
+read them back off the t_plus, t_minus, tau and v properties.
 
 Trees are nested pairs: a leaf is 0, an interior node is (left, right).
 The left child extends a leaf word by the letter 1, the right child by 2,
-so left-to-right leaf order is lex order.  tau is stored 0-based.
+so left-to-right leaf order is lex order.  tau is 0-based.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, NamedTuple, Tuple
+from operator import itemgetter
+from typing import Dict, List, Tuple
 
 from .element import Element, _unitary_terms
 from .errors import CapacityError, DomainError, ParseError
-from .monomial import Monomial
+from .monomial import new_monomial
 from .words import Word, decode, is_partition, offset
 
 Tree = object  # 0 for a leaf, (Tree, Tree) for an interior node
+Leaf = Tuple[Word, int, Word]  # (alpha, k, beta)
 
 LEAF = 0
 
-# trees deeper than this are refused, from diagram JSON and from elements:
-# leaves, _leaf_count and _tree walk a stack, but tree_from_obj, the JSON
-# codec and render's _layout recurse once per level
+# trees deeper than this are refused, by the constructor, from diagram JSON
+# and from elements: leaves and _tree walk a stack, but tree_from_obj, the
+# JSON codec and render's _layout recurse once per level
 _MAX_TREE_DEPTH = 512
+_TOO_DEEP = f"the diagram is deeper than {_MAX_TREE_DEPTH} levels"
+
+_beta = itemgetter(2)
 
 
 def leaves(tree: Tree) -> List[Word]:
-    """Leaf words in left-to-right (lex) order."""
+    """Leaf words in left-to-right (lex) order.  A node below
+    _MAX_TREE_DEPTH levels is a CapacityError, raised before any word
+    through it is built, so no word walked is longer than the cap."""
     out: List[Word] = []
     stack = [(tree, ())]
     while stack:
         node, path = stack.pop()
         if node == LEAF:
             out.append(path)
+        elif len(path) == _MAX_TREE_DEPTH:
+            raise CapacityError(_TOO_DEEP)
         else:
             stack.append((node[1], path + (2,)))
             stack.append((node[0], path + (1,)))
     return out
-
-
-def _leaf_count(tree: Tree) -> int:
-    """The number of leaves, counted with a stack and no words built."""
-    n, stack = 0, [tree]
-    while stack:
-        node = stack.pop()
-        if node == LEAF:
-            n += 1
-        else:
-            stack.extend(node)
-    return n
 
 
 def _tree(words) -> Tree:
@@ -97,67 +94,73 @@ def tree_from_obj(obj, depth: int = 0) -> Tree:
     raise ParseError(f"bad tree node {obj!r}")
 
 
-class _DiagramFields(NamedTuple):
-    t_plus: Tree
-    t_minus: Tree
-    tau: Tuple[int, ...]  # leaf p of t_plus pairs with leaf tau[p] of t_minus
-    v: Tuple[int, ...]    # charge on leaf p of t_plus
+class Diagram:
+    """A tree-pair diagram, stored as its leaf map.  The constructor checks
+    its arguments: trees at most _MAX_TREE_DEPTH deep (CapacityError),
+    equal leaf counts, tau a permutation of the leaves and one charge per
+    leaf.  The leaf map and (t_plus, t_minus, tau, v) determine each other,
+    so equality and hashing are those of the leaf map."""
 
+    __slots__ = ("leaf_map",)
 
-class Diagram(_DiagramFields):
-    """A tree-pair diagram, checked when built: equal leaf counts, tau a
-    permutation of the leaves and one charge per leaf."""
-
-    __slots__ = ()
-
-    def __new__(cls, t_plus: Tree, t_minus: Tree, tau: Tuple[int, ...],
-                v: Tuple[int, ...]):
-        n = _leaf_count(t_plus)
-        if _leaf_count(t_minus) != n:
+    def __init__(self, t_plus: Tree, t_minus: Tree, tau: Tuple[int, ...],
+                 v: Tuple[int, ...]):
+        plus, minus = leaves(t_plus), leaves(t_minus)
+        if len(minus) != len(plus):
             raise DomainError("leaf counts differ")
-        if sorted(tau) != list(range(n)):
+        if sorted(tau) != list(range(len(plus))):
             raise DomainError("tau is not a permutation of the leaves")
-        if len(v) != n:
+        if len(v) != len(plus):
             raise DomainError("charge vector length does not match leaf count")
-        return tuple.__new__(cls, (t_plus, t_minus, tau, v))
+        self.leaf_map: Tuple[Leaf, ...] = tuple(
+            zip(plus, v, map(minus.__getitem__, tau)))
+
+    # the constructor's arguments, read back off the leaf map
+    t_plus = property(lambda self: _tree(a for a, _k, _b in self.leaf_map))
+    t_minus = property(lambda self: _tree(sorted(map(_beta, self.leaf_map))))
+    v = property(lambda self: tuple(k for _a, k, _b in self.leaf_map))
+
+    @property
+    def tau(self) -> Tuple[int, ...]:
+        """Leaf p of t_plus pairs with leaf tau[p] of t_minus."""
+        rank = {b: q for q, b in enumerate(sorted(map(_beta, self.leaf_map)))}
+        return tuple(rank[b] for _a, _k, b in self.leaf_map)
 
     def leaf_count(self) -> int:
-        return len(self.v)
+        return len(self.leaf_map)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return self.leaf_map == other.leaf_map
+
+    def __hash__(self) -> int:
+        return hash(self.leaf_map)
+
+    def __repr__(self) -> str:
+        return (f"Diagram(t_plus={self.t_plus!r}, t_minus={self.t_minus!r}, "
+                f"tau={self.tau!r}, v={self.v!r})")
+
+
+def _diagram(terms) -> Diagram:
+    """The diagram of a leaf map in lex order of alpha whose alpha words and
+    beta words each form a partition; the callers have checked that."""
+    d = object.__new__(Diagram)
+    d.leaf_map = tuple(terms)
+    return d
 
 
 def identity_diagram() -> Diagram:
-    return Diagram(LEAF, LEAF, (0,), (0,))
-
-
-# leaf maps -------------------------------------------------------------------
-
-# one (alpha, k, beta) triple per leaf of T+, in lex order of alpha: alpha the
-# T+ leaf, k its charge, beta the T- leaf paired with it
-Leaf = Tuple[Word, int, Word]
-
-
-def _leaf_map(d: Diagram) -> List[Leaf]:
-    minus = leaves(d.t_minus)
-    return [(a, k, minus[q]) for a, k, q in zip(leaves(d.t_plus), d.v, d.tau)]
+    return _diagram([((), 0, ())])
 
 
 def _check_depth(terms: List[Leaf]) -> None:
     if max(max(len(a), len(b)) for a, _k, b in terms) > _MAX_TREE_DEPTH:
-        raise CapacityError(f"the diagram is deeper than {_MAX_TREE_DEPTH} levels")
-
-
-def _diagram(terms: List[Leaf]) -> Diagram:
-    """The diagram of a leaf map in lex order of alpha whose alpha words and
-    beta words each form a partition; the callers have checked that."""
-    alphas, ks, betas = zip(*terms)
-    minus = sorted(betas)
-    b_index = {w: q for q, w in enumerate(minus)}
-    tau = tuple(map(b_index.__getitem__, betas))
-    return Diagram(_tree(alphas), _tree(minus), tau, ks)
+        raise CapacityError(_TOO_DEEP)
 
 
 def to_element(d: Diagram) -> Element:
-    return Element({Monomial(a, k, b): 1 for a, k, b in _leaf_map(d)})
+    return Element(dict.fromkeys(map(new_monomial, d.leaf_map), 1))
 
 
 def from_element(e: Element) -> Diagram:
@@ -203,7 +206,7 @@ def _reduce(terms: List[Leaf]) -> List[Leaf]:
 def reduce(d: Diagram) -> Diagram:
     """The reduced form: sibling leaves merged wherever they undo one
     charge-parity split, until no merge is left (_reduce)."""
-    return _diagram(_reduce(_leaf_map(d)))
+    return _diagram(_reduce(d.leaf_map))
 
 
 # group structure -------------------------------------------------------------
@@ -221,14 +224,12 @@ def _product(d1: Diagram, d2: Diagram) -> List[Leaf]:
     the next step unless the longer one was the last leaf below it (g or d
     all 2s, offset 0).  The alphas and betas written are partitions again.
     """
-    minus1 = leaves(d1.t_minus)
-    left: List[Tuple[Word, int, int, int]] = [None] * len(minus1)
-    for a, k, q in zip(leaves(d1.t_plus), d1.v, d1.tau):
-        left[q] = (a, k, len(minus1[q]), offset(minus1[q]))
-    right = [(len(a), offset(a), k, b) for a, k, b in _leaf_map(d2)]
+    left = [(a, k, len(b), offset(b))
+            for a, k, b in sorted(d1.leaf_map, key=_beta)]
     out: List[Leaf] = []
     i = 0
-    for n2, t2, k2, b2 in right:
+    for a2, k2, b2 in d2.leaf_map:
+        n2, t2 = len(a2), offset(a2)
         while True:
             a1, k1, n1, t1 = left[i]
             if n1 <= n2:
@@ -257,18 +258,12 @@ def group_mul(d1: Diagram, d2: Diagram) -> Diagram:
 
 
 def group_inv(d: Diagram) -> Diagram:
-    """Swap the trees, invert the pairing, negate and transport the charges."""
-    n = d.leaf_count()
-    tau_inv = [0] * n
-    v_inv = [0] * n
-    for p in range(n):
-        tau_inv[d.tau[p]] = p
-        v_inv[d.tau[p]] = -d.v[p]
-    return Diagram(d.t_minus, d.t_plus, tuple(tau_inv), tuple(v_inv))
+    """The swapped triples (beta, -k, alpha), sorted into lex order of beta."""
+    return _diagram(sorted([(b, -k, a) for a, k, b in d.leaf_map]))
 
 
 def charge(d: Diagram) -> int:
-    return sum(d.v)
+    return sum(k for _a, k, _b in d.leaf_map)
 
 
 # serialization ---------------------------------------------------------------
@@ -339,32 +334,27 @@ def render(d: Diagram, fmt: str = "dot") -> str:
     raise ParseError(f"unknown render format {fmt!r}")
 
 
+def _dot_cluster(tag: str, name: str, title: str, edges, leaf_ids,
+                 labels) -> List[str]:
+    lines = [f"  subgraph cluster_{name} {{", f'    label="{title}";']
+    lines += [f'    {tag}{nid} [shape=circle, label="{label}"];'
+              for nid, label in zip(leaf_ids, labels)]
+    lines += [f"    {tag}{a} -- {tag}{b};" for a, b in edges] \
+        or [f"    {tag}{leaf_ids[0]};"]
+    return lines + ["  }"]
+
+
 def _render_dot(d: Diagram) -> str:
     ppos, pedges, pleaves = _layout(d.t_plus)
     mpos, medges, mleaves = _layout(d.t_minus)
     lines = ["graph diagram {", "  node [shape=point];"]
-    lines.append('  subgraph cluster_plus {')
-    lines.append('    label="T+";')
-    for p, nid in enumerate(pleaves):
-        lines.append(f'    p{nid} [shape=circle, label="{_charge_label(d.v[p])}"];')
-    for a, b in pedges:
-        lines.append(f"    p{a} -- p{b};")
-    if not pedges:
-        lines.append(f"    p{pleaves[0]};")
-    lines.append("  }")
-    lines.append('  subgraph cluster_minus {')
-    lines.append('    label="T-";')
-    for q, nid in enumerate(mleaves):
-        lines.append(f'    m{nid} [shape=circle, label="{q + 1}"];')
-    for a, b in medges:
-        lines.append(f"    m{a} -- m{b};")
-    if not medges:
-        lines.append(f"    m{mleaves[0]};")
-    lines.append("  }")
-    for p, nid in enumerate(pleaves):
-        lines.append(f"  p{nid} -- m{mleaves[d.tau[p]]} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += _dot_cluster("p", "plus", "T+", pedges, pleaves,
+                          map(_charge_label, d.v))
+    lines += _dot_cluster("m", "minus", "T-", medges, mleaves,
+                          range(1, len(mleaves) + 1))
+    lines += [f"  p{nid} -- m{mleaves[q]} [style=dashed];"
+              for nid, q in zip(pleaves, d.tau)]
+    return "\n".join(lines) + "\n}\n"
 
 
 def _render_tikz(d: Diagram) -> str:
@@ -381,9 +371,9 @@ def _render_tikz(d: Diagram) -> str:
         lines.append(f"  \\draw (p{a}) -- (p{b});")
     for a, b in medges:
         lines.append(f"  \\draw (m{a}) -- (m{b});")
-    for p, nid in enumerate(pleaves):
-        lines.append(f"  \\node[below] at (p{nid}) {{${_charge_label(d.v[p])}$}};")
-    for p, nid in enumerate(pleaves):
-        lines.append(f"  \\draw[dashed] (p{nid}) -- (m{mleaves[d.tau[p]]});")
+    for nid, k in zip(pleaves, d.v):
+        lines.append(f"  \\node[below] at (p{nid}) {{${_charge_label(k)}$}};")
+    for nid, q in zip(pleaves, d.tau):
+        lines.append(f"  \\draw[dashed] (p{nid}) -- (m{mleaves[q]});")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"

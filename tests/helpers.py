@@ -18,16 +18,17 @@ def one_line_error(err):
 
 @contextlib.contextmanager
 def time_limit(seconds, what):
-    """Raise TimeoutError in the block after the given wall time."""
+    """Raise TimeoutError in the block after the given wall time, which
+    may be a fraction of a second."""
     def stop(_signum, _frame):
         raise TimeoutError(f"{what} took over {seconds} s")
 
     old = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
 
 

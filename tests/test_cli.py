@@ -372,6 +372,17 @@ def test_enumerate_constructive_label_is_not_searched(capsys):
                    + " + ".join(pairs) + "\n1 results\n")
 
 
+def test_enumerate_constructive_label_is_sized_before_its_element():
+    # M1:16 at level 18 has a 2^17-term element; the label names a family
+    # too large to list, refused before that element is built
+    code, out, err = run_limited(("enumerate", "--level", "18", "--mode",
+                                  "constructive", "--template", "M1:16"),
+                                 5, 1500 << 20)
+    assert (code, out, err) == (
+        1, "", "qu2: error: the family has ((2^16)!)^2 members; at most "
+               "100000 can be listed\n")
+
+
 # a 64-letter word: expanding every term to its depth would take 2^64 terms
 DEEP = "12" * 20 + "1" * 10 + "2" * 14
 

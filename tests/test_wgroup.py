@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -52,13 +53,18 @@ def trees_with(draw, n):
 
 
 @st.composite
-def diagrams(draw, charges=st.integers(-10, 10)):
-    n = draw(st.integers(1, 7))
+def diagram_args(draw, charges=st.integers(-10, 10), n=None):
+    """(t_plus, t_minus, tau, v), with n leaves or 1 to 7."""
+    n = n or draw(st.integers(1, 7))
     t_plus = draw(trees_with(n))
     t_minus = draw(trees_with(n))
     tau = tuple(draw(st.permutations(range(n))))
     v = tuple(draw(st.lists(charges, min_size=n, max_size=n)))
-    return Diagram(t_plus, t_minus, tau, v)
+    return t_plus, t_minus, tau, v
+
+
+def diagrams(charges=st.integers(-10, 10)):
+    return diagram_args(charges).map(lambda args: Diagram(*args))
 
 
 def re_expand(d, draw):
@@ -243,19 +249,32 @@ def test_group_mul_equals_element_path(d1, d2, data):
 
 
 def test_group_mul_builds_no_element(monkeypatch):
-    d1 = from_element(normalize(to_element(D3), 3))  # unreduced
+    e1 = normalize(to_element(D3), 3)
+    d1 = from_element(e1)  # unreduced
     d2 = from_element(F)
     want = element_path(d1, d2)
+    want_inv = from_element(e1.adjoint())
+    want_reduced = from_element(to_element(D3))
+    terms = e1.terms
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("group_mul went through the Element path")
+        raise AssertionError("a group operation built a tree or an Element")
 
+    # the bridge to the algebra reads and writes leaf maps: no tree is
+    # built or walked into words
+    monkeypatch.setattr(qu2.wgroup, "_tree", refuse)
+    monkeypatch.setattr(qu2.wgroup, "leaves", refuse)
+    assert to_element(d1).terms == terms
+    assert from_element(e1) == d1
+    # and the group operations build no Element either
     monkeypatch.setattr(Element, "__init__", refuse)
     monkeypatch.setattr(Element, "__mul__", refuse)
     monkeypatch.setattr(qu2.element, "_refine", refuse)
     monkeypatch.setattr(qu2.wgroup, "is_partition", refuse)
     monkeypatch.setattr(qu2.words, "is_partition", refuse)
     assert group_mul(d1, d2) == want
+    assert group_inv(d1) == want_inv
+    assert reduce(d1) == want_reduced
 
 
 def test_group_mul_large_is_linear():
@@ -287,6 +306,49 @@ def test_group_mul_deeper_than_the_cap_is_capacity_error():
     d = Diagram(right, left, tuple(range(301)), (0,) * 301)
     with pytest.raises(CapacityError, match="deeper than 512 levels"):
         group_mul(d, d)
+
+
+def test_deep_tree_is_refused_at_construction():
+    # a 4,000-deep comb once cost group_mul 1.1 s and 303 MiB of words;
+    # the constructor refuses it before building a word past the cap
+    right, left = combs(4000)
+    with time_limit(0.1, "Diagram of a 4,000-deep comb"):
+        with pytest.raises(CapacityError, match="deeper than 512 levels"):
+            Diagram(right, left, tuple(range(4001)), (0,) * 4001)
+    right, left = combs(512)
+    assert Diagram(right, left, tuple(range(513)), (0,) * 513).leaf_count() == 513
+    right, left = combs(513)
+    with pytest.raises(CapacityError, match="deeper than 512 levels"):
+        Diagram(right, left, tuple(range(514)), (0,) * 514)
+
+
+wide_charges = st.one_of(st.integers(-10, 10), st.integers(-2 ** 70, 2 ** 70))
+
+
+@settings(max_examples=200)
+@given(diagram_args(wide_charges), st.data())
+def test_fields_round_trip_through_the_leaf_map(args, data):
+    t_plus, t_minus, tau, v = args
+    d = Diagram(*args)
+    assert (d.t_plus, d.t_minus, d.tau, d.v) == args
+    assert d.leaf_count() == len(v)
+    # the repr and JSON of the tree-pair NamedTuple the leaf map replaced
+    assert repr(d) == (f"Diagram(t_plus={t_plus!r}, t_minus={t_minus!r}, "
+                       f"tau={tau!r}, v={v!r})")
+    assert diagram_to_json(d) == json.dumps(
+        {"tplus": t_plus, "tminus": t_minus, "tau": list(tau), "v": list(v)},
+        separators=(", ", ": "))
+    # a second diagram with the same leaf count, each field kept or redrawn:
+    # equal exactly when the four fields are
+    fresh = data.draw(diagram_args(wide_charges, n=len(v)))
+    other = tuple(old if data.draw(st.booleans()) else new
+                  for old, new in zip(args, fresh))
+    e = Diagram(*other)
+    assert (d == e) == (args == other)
+    assert (d != e) == (args != other)
+    if d == e:
+        assert hash(d) == hash(e)
+    assert d == Diagram(*args) and hash(d) == hash(Diagram(*args))
 
 
 @given(diagrams())
