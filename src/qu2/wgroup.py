@@ -9,8 +9,9 @@ A Diagram is stored as its leaf map, one (alpha, k, beta) triple per leaf:
 alpha the T+ leaf, k its charge, beta the T- leaf it pairs with, in lex
 order of alpha.  Products, inverses and reductions read and write leaf
 maps and build no tree and no Element.  Trees exist only at the edges:
-the constructor walks them into words once, and the JSON codec and render
-read them back off the t_plus, t_minus, tau and v properties.
+the constructor walks them into words once and keeps them, and the JSON
+codec and render read them back off the t_plus, t_minus, tau and v
+properties, derived once for a diagram a group operation made.
 
 Trees are nested pairs: a leaf is 0, an interior node is (left, right).
 The left child extends a leaf word by the letter 1, the right child by 2,
@@ -101,7 +102,7 @@ class Diagram:
     leaf.  The leaf map and (t_plus, t_minus, tau, v) determine each other,
     so equality and hashing are those of the leaf map."""
 
-    __slots__ = ("leaf_map",)
+    __slots__ = ("leaf_map", "_fields")
 
     def __init__(self, t_plus: Tree, t_minus: Tree, tau: Tuple[int, ...],
                  v: Tuple[int, ...]):
@@ -114,17 +115,23 @@ class Diagram:
             raise DomainError("charge vector length does not match leaf count")
         self.leaf_map: Tuple[Leaf, ...] = tuple(
             zip(plus, v, map(minus.__getitem__, tau)))
+        self._fields = (t_plus, t_minus, tuple(tau), tuple(v))
 
-    # the constructor's arguments, read back off the leaf map
-    t_plus = property(lambda self: _tree(a for a, _k, _b in self.leaf_map))
-    t_minus = property(lambda self: _tree(sorted(map(_beta, self.leaf_map))))
-    v = property(lambda self: tuple(k for _a, k, _b in self.leaf_map))
+    def _derive(self):
+        """The fields of a diagram made from a leaf map, read off it once:
+        leaf p of t_plus pairs with leaf tau[p] of t_minus."""
+        alphas, v, betas = zip(*self.leaf_map)
+        minus = sorted(betas)
+        rank = {b: q for q, b in enumerate(minus)}
+        self._fields = (_tree(alphas), _tree(minus),
+                        tuple(map(rank.__getitem__, betas)), v)
+        return self._fields
 
-    @property
-    def tau(self) -> Tuple[int, ...]:
-        """Leaf p of t_plus pairs with leaf tau[p] of t_minus."""
-        rank = {b: q for q, b in enumerate(sorted(map(_beta, self.leaf_map)))}
-        return tuple(rank[b] for _a, _k, b in self.leaf_map)
+    # the constructor's arguments, kept by it or derived on the first read
+    t_plus = property(lambda self: (self._fields or self._derive())[0])
+    t_minus = property(lambda self: (self._fields or self._derive())[1])
+    tau = property(lambda self: (self._fields or self._derive())[2])
+    v = property(lambda self: (self._fields or self._derive())[3])
 
     def leaf_count(self) -> int:
         return len(self.leaf_map)
@@ -147,6 +154,7 @@ def _diagram(terms) -> Diagram:
     beta words each form a partition; the callers have checked that."""
     d = object.__new__(Diagram)
     d.leaf_map = tuple(terms)
+    d._fields = None
     return d
 
 

@@ -332,6 +332,11 @@ def test_fields_round_trip_through_the_leaf_map(args, data):
     d = Diagram(*args)
     assert (d.t_plus, d.t_minus, d.tau, d.v) == args
     assert d.leaf_count() == len(v)
+    # a diagram built from the leaf map alone, as products are, derives
+    # the same fields, once
+    bare = qu2.wgroup._diagram(d.leaf_map)
+    assert (bare.t_plus, bare.t_minus, bare.tau, bare.v) == args
+    assert bare.tau is bare.tau and repr(bare) == repr(d)
     # the repr and JSON of the tree-pair NamedTuple the leaf map replaced
     assert repr(d) == (f"Diagram(t_plus={t_plus!r}, t_minus={t_minus!r}, "
                        f"tau={tau!r}, v={v!r})")
