@@ -6,12 +6,15 @@ in the payload), 1 for domain or capacity errors, 2 for usage and parse errors.
 All output is byte-deterministic for fixed inputs and flags.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, DomainError, ParseError
 from .element import (
@@ -27,38 +30,12 @@ from .element import (
     total_charge,
     to_json as element_to_json,
 )
-from .canrep import phase_apply
-from .wgroup import (
-    Diagram,
-    charge as diagram_charge,
-    diagram_from_json,
-    diagram_to_json,
-    from_element,
-    reduce as diagram_reduce,
-    render as diagram_render,
-)
-from .endo import (
-    PermUnitary,
-    _family,
-    automorphism_probe,
-    check_extension_parts,
-    enumerate_extendible,
-    enumerate_menu,
-    extend,
-    identity_perm,
-    label_kind,
-    make_inner_phi,
-    make_u_p,
-    make_u_sigma,
-    parse_cycles,
-    parse_template,
-    perm_to_cycles,
-    perm_unitary_from_cycles,
-    perm_unitary_from_element,
-    run_verify_counts,
-    run_verify_table,
-    u_templates_labeled,
-)
+
+# canrep, wgroup and endo are imported by the verbs that run them, so a
+# verb of the element layer does not load (or compile) the other layers
+if TYPE_CHECKING:
+    from .endo import PermUnitary
+    from .wgroup import Diagram
 
 
 def _emit(args, text_lines, payload):
@@ -72,12 +49,16 @@ def _emit(args, text_lines, payload):
 def _parse_template_arg(text: str, level: int) -> Element:
     """A --template argument: a menu label's element, else an element
     expression."""
+    from .endo import parse_template
+
     labelled = parse_template(level, text)
     return labelled[1] if labelled else parse_element(text)
 
 
 def _parse_unitary(text: str, level) -> PermUnitary:
     """Permutative unitary from cycle notation (needs --level) or element text."""
+    from .endo import perm_unitary_from_cycles, perm_unitary_from_element
+
     if text == "id" or text.lstrip().startswith("("):
         if level is None:
             raise DomainError("cycle notation needs --level")
@@ -86,6 +67,8 @@ def _parse_unitary(text: str, level) -> PermUnitary:
 
 
 def _parse_diagram_arg(text: str) -> Diagram:
+    from .wgroup import diagram_from_json, from_element
+
     if text.lstrip().startswith("{"):
         return diagram_from_json(text)
     return from_element(parse_element(text))
@@ -184,6 +167,8 @@ def cmd_factor(args):
 
 def cmd_charge(args):
     if args.expr.lstrip().startswith("{"):
+        from .wgroup import charge as diagram_charge, diagram_from_json
+
         n = diagram_charge(diagram_from_json(args.expr))
     else:
         n = total_charge(parse_element(args.expr))
@@ -191,21 +176,29 @@ def cmd_charge(args):
 
 
 def cmd_diagram(args):
+    from .wgroup import diagram_to_json, from_element
+
     text = diagram_to_json(from_element(parse_element(args.expr)))
     _emit(args, [text], json.loads(text))
 
 
 def cmd_render(args):
+    from .wgroup import render as diagram_render
+
     out = diagram_render(_parse_diagram_arg(args.arg), args.format)
     _emit(args, [out], {"format": args.format, "source": out})
 
 
 def cmd_reduce(args):
+    from .wgroup import diagram_to_json, reduce as diagram_reduce
+
     text = diagram_to_json(diagram_reduce(_parse_diagram_arg(args.arg)))
     _emit(args, [text], json.loads(text))
 
 
 def cmd_eval(args):
+    from .canrep import phase_apply
+
     m = _BASIS.match(args.basis.strip())
     if m is None:
         raise ParseError(f"bad basis vector {args.basis!r}; want e_k or k")
@@ -220,6 +213,8 @@ def cmd_eval(args):
 
 
 def cmd_check_ext(args):
+    from .endo import check_extension_parts
+
     pu = _parse_unitary(args.unitary, args.level)
     template = _parse_template_arg(args.template, pu.level)
     e1, e2 = check_extension_parts(pu, template)
@@ -231,6 +226,8 @@ def cmd_check_ext(args):
 
 
 def cmd_templates(args):
+    from .endo import u_templates_labeled
+
     rows = u_templates_labeled(args.level)
     lines = [f"{label}\t{element_str(t)}" for label, t in rows]
     payload = [{"label": label, "element": element_str(t)} for label, t in rows]
@@ -238,6 +235,10 @@ def cmd_templates(args):
 
 
 def cmd_construct(args):
+    from .endo import (PermUnitary, extend, identity_perm, make_inner_phi,
+                       make_u_p, make_u_sigma, parse_cycles, parse_template,
+                       perm_to_cycles)
+
     k = args.level
     labelled = parse_template(k, args.template)
     if labelled is None:
@@ -279,6 +280,9 @@ def cmd_construct(args):
 
 
 def cmd_enumerate(args):
+    from .endo import (_family, enumerate_extendible, enumerate_menu,
+                       label_kind, perm_to_cycles)
+
     k = args.level
     if args.all_templates:
         results = list(enumerate_menu(k, mode=args.mode))
@@ -308,6 +312,8 @@ def cmd_enumerate(args):
 
 
 def cmd_probe(args):
+    from .endo import automorphism_probe
+
     pu = _parse_unitary(args.unitary, args.level)
     res = automorphism_probe(pu, depth=args.depth)
     if res.stabilized:
@@ -336,6 +342,8 @@ def _table_path(arg):
 
 
 def cmd_verify_table(args):
+    from .endo import run_verify_table
+
     total, failures = run_verify_table(_table_path(args.table))
     lines = [f"row {i}: {reason}" for i, reason in failures]
     lines.append(f"{total - len(failures)}/{total} verified")
@@ -348,6 +356,8 @@ def cmd_verify_table(args):
 
 
 def cmd_verify_counts(args):
+    from .endo import run_verify_counts
+
     report, checks = run_verify_counts(args.level, sample=args.sample)
     lines = [
         f"{label}\tcount={count}\texpected={expected}\t{'ok' if ok else 'FAIL'}"

@@ -31,7 +31,6 @@ from .element import (Element, _expand, _refine, eq, is_unitary, normalize,
                       one, parse_element, s, total_charge, u)
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import Monomial, new_monomial
-from .wgroup import from_element, reduce, to_element
 from .words import Word, all_words, decode, lex_index
 
 Perm = Tuple[int, ...]  # perm[i] = lex index of the image of the i-th word
@@ -629,6 +628,9 @@ def _inner_perm(k: int, template: Element, charge: int) -> Optional[Perm]:
     p(2...2), and the term with beta p(w) has alpha p(w+1).  For U* the
     walk starts at p(1...1) and steps w -> w-1.  The result is a candidate
     for eq to confirm."""
+    # only here: the menu and the pure and mixed families need no wgroup
+    from .wgroup import from_element, reduce, to_element
+
     try:
         f = normalize(to_element(reduce(from_element(template))), k - 1)
     except DomainError:  # deeper than k-1 letters even when reduced
@@ -750,7 +752,8 @@ def automorphism_probe(pu: PermUnitary, depth: int = 6) -> ProbeResult:
 
 def run_verify_table(path):
     """Check every fixture row: cycles match the element, element is the
-    stated permutative unitary, and both extension equations hold."""
+    stated permutative unitary, and both extension equations hold.  A
+    table with no rows is refused (DomainError), since it checks nothing."""
     try:
         f = open(path)
     except OSError as exc:
@@ -762,6 +765,8 @@ def run_verify_table(path):
             if not line or line.startswith("#"):
                 continue
             rows.append(line.split("\t"))
+    if not rows:
+        raise DomainError(f"table {path} has no rows")
     failures = []
     for i, row in enumerate(rows, 1):
         try:

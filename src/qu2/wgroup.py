@@ -295,7 +295,9 @@ def diagram_from_json(text: str) -> Diagram:
         v = tuple(int(x) for x in obj["v"])
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"bad diagram JSON: missing field {exc.args[0]!r}")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad diagram JSON: {exc}")
     return Diagram(t_plus, t_minus, tau, v)
 

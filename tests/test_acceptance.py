@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from qu2.canrep import BasisVector, phase_apply, semantic_eq
-from qu2.cli import _table_path, run_verify_counts, run_verify_table
+from qu2.cli import _table_path
 from qu2.element import (
     Element,
     eq,
@@ -34,6 +34,8 @@ from qu2.endo import (
     perm_to_cycles,
     perm_unitary_from_cycles,
     perm_unitary_from_element,
+    run_verify_counts,
+    run_verify_table,
     u_templates_labeled,
 )
 from qu2.monomial import Monomial

@@ -466,6 +466,13 @@ def test_reduce_bad_json_exit_codes(capsys):
     assert code == 1 and one_line_error(err) and "permutation" in err
 
 
+def test_diagram_json_missing_field_is_named(capsys):
+    assert run(capsys, "render", '{"tplus": 0}') == (
+        2, "", "qu2: parse error: bad diagram JSON: missing field 'tminus'\n")
+    code, _, err = run(capsys, "reduce", '{"tplus": 0, "tminus": 0, "tau": [0]}')
+    assert code == 2 and err.endswith("missing field 'v'\n")
+
+
 def _caterpillar_json(depth):
     # written out by hand: json.dumps would itself recurse once per level
     tree = "[" * depth + "0" + ", 0]" * depth
@@ -593,6 +600,15 @@ def test_verify_table_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "verify-table", str(tmp_path / "missing.tsv"))
     assert (code, out) == (1, "")
     assert one_line_error(err) and "missing.tsv" in err
+
+
+@pytest.mark.parametrize("text", ["", "# comments only\n\n"])
+def test_verify_table_refuses_a_table_without_rows(capsys, tmp_path, text):
+    # an empty table would verify nothing and still report success
+    empty = tmp_path / "empty.tsv"
+    empty.write_text(text)
+    assert run(capsys, "verify-table", str(empty)) == (
+        1, "", f"qu2: error: table {empty} has no rows\n")
 
 
 def test_verify_table_packaged(capsys):
