@@ -1,9 +1,10 @@
 """Command-line front end.
 
-One verb per engine operation plus the two reproduction suites.  Exit codes:
-0 for success (including predicates that evaluate to false; the truth value is
-in the payload), 1 for domain or capacity errors, 2 for usage and parse errors.
-All output is byte-deterministic for fixed inputs and flags.
+One verb per engine operation plus the two reproduction suites; a verb parses
+its arguments, calls the library and prints the answer.  Exit codes: 0 for
+success (including predicates that evaluate to false; the truth value is in the
+payload), 1 for domain or capacity errors, 2 for usage and parse errors.  All
+output is byte-deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .element import (
 # canrep, wgroup and endo are imported by the verbs that run them, so a
 # verb of the element layer does not load (or compile) the other layers
 if TYPE_CHECKING:
-    from .endo import PermUnitary
     from .wgroup import Diagram
 
 
@@ -46,16 +46,7 @@ def _emit(args, text_lines, payload):
             print(line)
 
 
-def _parse_template_arg(text: str, level: int) -> Element:
-    """A --template argument: a menu label's element, else an element
-    expression."""
-    from .endo import parse_template
-
-    labelled = parse_template(level, text)
-    return labelled[1] if labelled else parse_element(text)
-
-
-def _parse_unitary(text: str, level) -> PermUnitary:
+def _parse_unitary(text: str, level):
     """Permutative unitary from cycle notation (needs --level) or element text."""
     from .endo import perm_unitary_from_cycles, perm_unitary_from_element
 
@@ -213,10 +204,10 @@ def cmd_eval(args):
 
 
 def cmd_check_ext(args):
-    from .endo import check_extension_parts
+    from .endo import check_extension_parts, template_element
 
     pu = _parse_unitary(args.unitary, args.level)
-    template = _parse_template_arg(args.template, pu.level)
+    template = template_element(pu.level, args.template)
     e1, e2 = check_extension_parts(pu, template)
     line = (
         f"ext1={'true' if e1 else 'false'} ext2={'true' if e2 else 'false'} "
@@ -228,76 +219,43 @@ def cmd_check_ext(args):
 def cmd_templates(args):
     from .endo import u_templates_labeled
 
-    rows = u_templates_labeled(args.level)
-    lines = [f"{label}\t{element_str(t)}" for label, t in rows]
-    payload = [{"label": label, "element": element_str(t)} for label, t in rows]
+    rows = [(label, element_str(t)) for label, t in u_templates_labeled(args.level)]
+    lines = [f"{label}\t{text}" for label, text in rows]
+    payload = [{"label": label, "element": text} for label, text in rows]
     _emit(args, lines, payload)
 
 
 def cmd_construct(args):
-    from .endo import (PermUnitary, extend, identity_perm, make_inner_phi,
-                       make_u_p, make_u_sigma, parse_cycles, parse_template,
-                       perm_to_cycles)
+    from .endo import construct
 
-    k = args.level
-    labelled = parse_template(k, args.template)
-    if labelled is None:
-        raise DomainError(
-            f"construct needs a template name, got {args.template!r}")
-    kind, template = labelled
-    # each kind reads its own options: refuse the options of another kind
-    foreign = {"pure": ("sigma1", "sigma2"), "mixed": ("perm",),
-               "inner": ("perm", "sigma1", "sigma2")}[kind[0]]
-    for name in foreign:
-        if getattr(args, name) is not None:
-            raise ParseError(f"--{name} does not apply to template "
-                             f"{args.template!r}")
-    if kind[0] == "pure":
-        size = 1 << (k - 1)
-        p = parse_cycles(size, args.perm) if args.perm else identity_perm(size)
-        endo = extend(make_u_p(p, kind[1]), template)
-    elif kind[0] == "mixed":
-        _tag, h, variant = kind
-        sides = [parse_cycles(1 << (k - 2), text) if text else None
-                 for text in (args.sigma1, args.sigma2)]
-        endo = extend(make_u_sigma(k, h, variant, *sides), template)
-    else:
-        _tag, pperm, with_flip = kind
-        endo = make_inner_phi(PermUnitary(k - 1, pperm), with_flip)
-    pu = endo.u
-    lines = [
-        f"u\t{perm_to_cycles(pu.perm)}\t{element_str(pu.element)}",
-        f"u_tilde\t{element_str(endo.u_tilde)}",
-        f"verified\t{'true' if endo.verified else 'false'}",
-    ]
+    endo = construct(args.level, args.template, perm=args.perm,
+                     sigma1=args.sigma1, sigma2=args.sigma2)
     payload = {
-        "cycles": perm_to_cycles(pu.perm),
-        "u": element_str(pu.element),
+        "cycles": endo.u.cycles(),
+        "u": element_str(endo.u.element),
         "u_tilde": element_str(endo.u_tilde),
         "verified": endo.verified,
     }
+    lines = [
+        f"u\t{payload['cycles']}\t{payload['u']}",
+        f"u_tilde\t{payload['u_tilde']}",
+        f"verified\t{'true' if endo.verified else 'false'}",
+    ]
     _emit(args, lines, payload)
 
 
 def cmd_enumerate(args):
-    from .endo import (_family, enumerate_extendible, enumerate_menu,
-                       label_kind, perm_to_cycles)
+    from .endo import enumerate_menu, template_members
 
     k = args.level
     if args.all_templates:
         results = list(enumerate_menu(k, mode=args.mode))
     elif args.template:
-        # a label names its family, which _family sizes before any element
-        kind = label_kind(k, args.template)
-        if kind is not None and args.mode == "constructive":
-            members = _family(k, kind)
-        else:
-            template = _parse_template_arg(args.template, k)
-            members = enumerate_extendible(k, template, mode=args.mode)
-        results = [(args.template, pu) for pu in members]
+        results = [(args.template, pu)
+                   for pu in template_members(k, args.template, args.mode)]
     else:
         raise DomainError("enumerate needs --template or --all-templates")
-    rows = [(label, perm_to_cycles(pu.perm), element_str(pu.element))
+    rows = [(label, pu.cycles(), element_str(pu.element))
             for label, pu in results]
     lines = ["\t".join(row) for row in rows]
     lines.append(f"{len(rows)} results")
@@ -317,12 +275,9 @@ def cmd_probe(args):
     pu = _parse_unitary(args.unitary, args.level)
     res = automorphism_probe(pu, depth=args.depth)
     if res.stabilized:
-        lines = [f"stabilized_at={res.stabilized_at}\t"
-                 f"witness={element_str(res.witness)}"]
-        payload = {
-            "stabilized_at": res.stabilized_at,
-            "witness": element_str(res.witness),
-        }
+        witness = element_str(res.witness)
+        lines = [f"stabilized_at={res.stabilized_at}\twitness={witness}"]
+        payload = {"stabilized_at": res.stabilized_at, "witness": witness}
     else:
         lines = [f"inconclusive (depth {args.depth})"]
         payload = {"inconclusive": True, "depth": args.depth}

@@ -17,7 +17,8 @@ prune, word by word, and that the extension checker verifies.  A
 permutation unitary is its index tuple: products, adjoints, phi and the
 rewriting one level up are index maps (PermUnitary), so make_u_p, the u
 of make_inner_phi and the automorphism probe's tower use no Element
-arithmetic.
+arithmetic.  Only this module knows the template menu: the CLI reaches it
+through template_element, template_members and construct.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .element import (Element, _expand, _refine, eq, is_unitary, normalize,
                       one, parse_element, s, total_charge, u)
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import Monomial, new_monomial
-from .words import Word, all_words, decode, lex_index
+from .words import Word, all_words, decode, lex_index, offset
 
 Perm = Tuple[int, ...]  # perm[i] = lex index of the image of the i-th word
 
@@ -287,6 +288,13 @@ def parse_template(k: int, label: str) -> Optional[Tuple[tuple, Element]]:
     return None if kind is None else (kind, _kind_template(k, kind))
 
 
+def template_element(k: int, text: str) -> Element:
+    """The template a --template argument names at level k: a label's
+    element, else the text parsed as an element expression."""
+    kind = label_kind(k, text)
+    return parse_element(text) if kind is None else _kind_template(k, kind)
+
+
 def _kind_template(k: int, kind: tuple) -> Element:
     """The menu's element of this kind at level k."""
     if kind[0] == "pure":
@@ -432,16 +440,59 @@ def make_inner_phi(p: PermUnitary, with_flip: bool) -> ExtendedEndo:
     """The inner-perturbation endomorphism x -> p x p* (composed with the
     flip-flop when asked): u = p phi(p*) (times f), image of U = pUp*
     (resp. pU*p*)."""
+    return extend(_inner_u(p, with_flip), _inner_image(p, with_flip))
+
+
+def _inner_u(p: PermUnitary, with_flip: bool) -> PermUnitary:
+    """u = p phi(p*), times the flip-flop f when asked, as an index product."""
     pu = p.promote() @ p.inverse().phi()
-    if with_flip:
-        pu = pu @ _FLIP_FLOP
-    return extend(pu, _inner_image(p, with_flip))
+    return pu @ _FLIP_FLOP if with_flip else pu
 
 
 def _inner_image(p: PermUnitary, with_flip: bool) -> Element:
-    """p U p*, or p U* p* with the flip-flop."""
-    p_el = p.element
-    return p_el * u(-1 if with_flip else 1) * p_el.adjoint()
+    """p U p*, or p U* p* with the flip-flop, written term by term.
+
+    With n = p.level and the odometer step t -> t +- 1 on the offsets of
+    the length-n words, U^(+-1) S_w = S_w' U^q for q, t(w') = divmod(t(w)
+    +- 1, 2^n), so the image is the sum of S_p(w') U^q S_p(w)* over the
+    words w: the writer twin of _inner_perm's reader."""
+    n = p.level
+    size = 1 << n
+    words = all_words(n)
+    lex = [0] * size  # lex[t]: the lex index of the word with offset t
+    for i, w in enumerate(words):
+        lex[offset(w)] = i
+    images = [words[p.perm[i]] for i in lex]  # images[t] = p(w) for t(w) = t
+    step = -1 if with_flip else 1
+    terms = {}
+    for t in range(size):
+        q, t2 = divmod(t + step, size)
+        terms[Monomial(images[t2], q, images[t])] = 1
+    return Element(terms)
+
+
+def construct(k: int, label: str, perm: Optional[str] = None,
+              sigma1: Optional[str] = None,
+              sigma2: Optional[str] = None) -> ExtendedEndo:
+    """The family member of the labelled template at level k, checked
+    against it.  perm (U+, U-) and sigma1, sigma2 (M1:h, M2:h) are cycles,
+    the identity when absent; an option of another kind is a ParseError."""
+    labelled = parse_template(k, label)
+    if labelled is None:
+        raise DomainError(f"construct needs a template name, got {label!r}")
+    kind, template = labelled
+    own = {"pure": ("perm",), "mixed": ("sigma1", "sigma2"), "inner": ()}[kind[0]]
+    for name, value in (("perm", perm), ("sigma1", sigma1), ("sigma2", sigma2)):
+        if value is not None and name not in own:
+            raise ParseError(f"--{name} does not apply to template {label!r}")
+    if kind[0] == "pure":
+        pu = make_u_p(parse_cycles(1 << (k - 1), perm or ""), kind[1])
+    elif kind[0] == "mixed":
+        sides = [parse_cycles(1 << (k - 2), text or "") for text in (sigma1, sigma2)]
+        pu = make_u_sigma(k, kind[1], kind[2], *sides)
+    else:
+        pu = _inner_u(PermUnitary(k - 1, kind[1]), kind[2])
+    return extend(pu, template)
 
 
 # enumeration ------------------------------------------------------------------
@@ -504,6 +555,16 @@ def enumerate_menu(k: int, mode: str = "brute") -> Iterator[Tuple[str, PermUnita
                 yield label, pu
 
     return results()
+
+
+def template_members(k: int, text: str, mode: str = "brute") -> List[PermUnitary]:
+    """The u that enumerate_extendible lists for the template a --template
+    argument names at level k.  In constructive mode a label reads its
+    family off its kind, which _family sizes before any element is built."""
+    kind = label_kind(k, text)
+    if kind is not None and mode == "constructive":
+        return _family(k, kind)
+    return enumerate_extendible(k, template_element(k, text), mode=mode)
 
 
 def _extendible(k: int, template: Element) -> Iterator[Perm]:
@@ -680,8 +741,7 @@ def _family(k: int, kind: tuple) -> List[PermUnitary]:
         return list(enumerate_u_p(k, kind[1]))
     if kind[0] == "mixed":
         return list(enumerate_u_sigma(k, kind[1], kind[2]))
-    _tag, pperm, with_flip = kind
-    return [make_inner_phi(PermUnitary(k - 1, pperm), with_flip).u]
+    return [_inner_u(PermUnitary(k - 1, kind[1]), kind[2])]
 
 
 # applying an extended endomorphism ---------------------------------------------

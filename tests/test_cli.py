@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line driver (in-process main())."""
 
+import ast
 import json
 
 import pytest
@@ -8,7 +9,9 @@ from qu2.cli import main
 from qu2.element import element_str, eq, from_json, parse_element, u
 from qu2.endo import mixed_template, perm_unitary_from_cycles
 
-from helpers import one_line_error, run_limited, time_limit
+from helpers import SRC, one_line_error, run_limited, time_limit
+
+CLI_SOURCE = SRC / "qu2" / "cli.py"
 
 
 def run(capsys, *argv):
@@ -255,6 +258,27 @@ def test_probe_verb(capsys):
     assert code == 0 and out.startswith("stabilized_at=1\t")
 
 
+def test_cli_reaches_endo_through_its_public_template_calls():
+    # the template menu and its families live in endo alone: the CLI
+    # imports none of endo's private names or family builders
+    tree = ast.parse(CLI_SOURCE.read_text())
+    builders = {"PermUnitary", "make_u_p", "make_u_sigma", "make_inner_phi",
+                "extend", "label_kind", "parse_template", "parse_cycles",
+                "identity_perm"}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) in ((1, "endo"), (0, "qu2.endo")):
+                imported.update(alias.name for alias in node.names)
+            elif (node.level, node.module) in ((1, None), (0, "qu2")):
+                assert "endo" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert "qu2.endo" not in {alias.name for alias in node.names}
+    assert imported, "the CLI imports no endo name"
+    assert not {name for name in imported if name.startswith("_")}
+    assert not imported & builders
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -381,6 +405,30 @@ def test_enumerate_constructive_label_is_sized_before_its_element():
     assert (code, out, err) == (
         1, "", "qu2: error: the family has ((2^16)!)^2 members; at most "
                "100000 can be listed\n")
+
+
+def test_enumerate_constructive_inner_label_at_level_18():
+    # the inner member is an index product: no extension check on
+    # 2^17-term elements before the one result is printed
+    code, out, err = run_limited(("enumerate", "--level", "18", "--mode",
+                                  "constructive", "--template", "AD:id"),
+                                 6, 1500 << 20)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[-1] == "1 results"
+    assert lines[0].startswith("AD:id\tid\tP[") and lines[0].count(" + ") == (1 << 18) - 1
+
+
+# each of these multiplied two 2^13 (2^17) term elements, pair by pair,
+# for minutes to an hour
+@pytest.mark.parametrize("argv, seconds", [
+    (("check-ext", "id", "--level", "14", "--template", "M1:12"), 5),
+    (("construct", "--level", "18", "--template", "AD:(1 2)"), 10),
+])
+def test_product_past_the_term_pair_cap_is_refused(argv, seconds):
+    code, out, err = run_limited(argv, seconds, 1500 << 20)
+    assert (code, out) == (1, ""), (argv, err)
+    assert one_line_error(err) and "2^24 term pairs" in err, (argv, err)
 
 
 # a 64-letter word: expanding every term to its depth would take 2^64 terms

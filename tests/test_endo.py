@@ -26,6 +26,7 @@ from qu2.endo import (
     automorphism_probe,
     check_extension,
     check_extension_parts,
+    construct,
     constructive_family,
     enumerate_extendible,
     enumerate_u_p,
@@ -43,7 +44,9 @@ from qu2.endo import (
     perm_unitary_from_cycles,
     perm_unitary_from_element,
     parse_template,
+    template_element,
     template_labels,
+    template_members,
     u_templates_labeled,
 )
 from qu2.words import all_words
@@ -277,6 +280,61 @@ def test_constructive_family_dispatch():
     assert len(fam) == 1 and check_extension(fam[0], inner)
 
 
+def test_construct_verifies_every_kind():
+    for label, options in (("U+", {}), ("U-", {"perm": "(1 3 4)"}),
+                           ("M1:0", {"sigma1": "(1 2)"}),
+                           ("M2:1", {"sigma2": "(1 2)"}), ("AD:(1 2)", {}),
+                           ("AD*:(1 4)(2 3)", {})):
+        endo = construct(3, label, **options)
+        assert endo.verified, label
+        assert endo.u_tilde == parse_template(3, label)[1], label
+    # each option picks its member: the default is the identity
+    assert construct(3, "U-", perm="(1 3 4)").u == \
+        make_u_p(parse_cycles(4, "(1 3 4)"), -1)
+    assert construct(3, "U+").u == make_u_p((0, 1, 2, 3), 1)
+    assert construct(3, "M2:1", sigma2="(1 2)").u == \
+        make_u_sigma(3, 1, 2, None, (1, 0))
+    assert construct(3, "AD*:(1 2)") == \
+        make_inner_phi(PermUnitary(2, (1, 0, 2, 3)), True)
+
+
+def test_construct_refuses_foreign_options_and_non_labels():
+    for label, name in (("U+", "sigma1"), ("U-", "sigma2"), ("M1:0", "perm"),
+                        ("AD:id", "perm"), ("AD*:(1 2)", "sigma2")):
+        with pytest.raises(ParseError) as info:
+            construct(3, label, **{name: "(1 2)"})
+        assert str(info.value) == f"--{name} does not apply to template {label!r}"
+    with pytest.raises(DomainError, match="construct needs a template name"):
+        construct(3, "U^4")
+
+
+def test_inner_construct_writes_its_template_once(monkeypatch):
+    calls = []
+    real = endo_module._inner_image
+
+    def counted(p, with_flip):
+        calls.append(p)
+        return real(p, with_flip)
+
+    monkeypatch.setattr(endo_module, "_inner_image", counted)
+    assert construct(3, "AD:(1 3 2)").verified
+    assert len(calls) == 1
+
+
+def test_template_members_of_a_label_and_of_element_text():
+    inner = element_str(pu2("(1 2)").element * u() * pu2("(1 2)").element.adjoint())
+    assert template_element(3, "AD:(1 2)") == _inner_image(pu2("(1 2)"), False)
+    assert eq(template_element(3, inner), template_element(3, "AD:(1 2)"))
+    for mode in ("brute", "constructive"):
+        for text in ("AD:(1 2)", inner):
+            assert template_members(3, text, mode) == \
+                [make_inner_phi(pu2("(1 2)"), False).u], (text, mode)
+        assert template_members(3, "M1:1", mode) == \
+            enumerate_extendible(3, mixed_template(3, 1, 1), mode)
+        assert template_members(3, "U^4", mode) == \
+            enumerate_extendible(3, u(4), mode)
+
+
 def test_lambda_apply():
     ident = make_inner_phi(perm_unitary(1, (0, 1)), with_flip=False)
     for text in ("S[1]", "U^3", "S[12] U^-2 S*[2]"):
@@ -338,7 +396,8 @@ def test_probe_witness_inverts():
 #
 # The old Element paths, kept as references: the probe multiplied tower
 # Elements, make_inner_phi went through phi, flip_flop and
-# perm_unitary_from_element, and make_u_p built a word map.
+# perm_unitary_from_element, the inner template was the product p U p*,
+# and make_u_p built a word map.
 
 _ELEMENT_PROBE_LEVEL = 10
 
@@ -366,13 +425,18 @@ def element_probe(pu, depth=6):
     return ProbeResult(None, None)
 
 
+def product_inner_image(p, with_flip):
+    p_el = p.element
+    return p_el * u(-1 if with_flip else 1) * p_el.adjoint()
+
+
 def element_inner_phi(p, with_flip):
     p_el = p.element
     u_el = p_el * phi(p_el.adjoint())
     if with_flip:
         u_el = u_el * flip_flop()
     pu = perm_unitary_from_element(u_el, p.level + 1)
-    return extend(pu, _inner_image(p, with_flip))
+    return extend(pu, product_inner_image(p, with_flip))
 
 
 def word_map_u_p(p, sign):
@@ -474,6 +538,16 @@ def test_make_inner_phi_matches_the_element_path():
     for p in ps:
         for flip in (False, True):
             assert make_inner_phi(p, flip) == element_inner_phi(p, flip), p
+
+
+def test_inner_image_matches_the_product():
+    ps = [pu for level in (0, 1, 2) for pu in all_perm_unitaries(level)]
+    ps += seeded_perm_unitaries(3, 12, seed=7)
+    ps += seeded_perm_unitaries(4, 6, seed=8)
+    for p in ps:
+        for flip in (False, True):
+            # the same stored terms, so the same printed element
+            assert _inner_image(p, flip) == product_inner_image(p, flip), p
 
 
 def test_make_u_p_matches_the_word_map():
