@@ -107,9 +107,6 @@ def semantic_eq(e1: Element, e2: Element) -> bool:
 
 # phase gadget --------------------------------------------------------------
 
-_GENERATORS = ("U", "U*", "S1", "S1*", "S2", "S2*", "Uz", "Uz*")
-
-
 def phase_apply(z_exponent, generator_word: Sequence[str], k: int) -> Optional[BasisVector]:
     """Apply a word in U, S_1, S_2, their adjoints, and the rotation U_z
     (U_z e_k = z^k e_k with z = e^{2 pi i a/2^n}) to the basis vector e_k.

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -473,128 +474,88 @@ def element_str(e: Element) -> str:
     return " + ".join(parts)
 
 
-_TOKEN = re.compile(r"""
-    (?P<sstar>S\*\[(?P<sstarw>[12]*|e)\])
-  | (?P<sword>S\[(?P<sw>[12]*|e)\])
-  | (?P<pword>P\[(?P<pw>[12]*|e)\])
-  | (?P<upow>U\^(?P<uexp>-?\d+))
-  | (?P<ustar>U\*)
-  | (?P<u>U)
-  | (?P<num>\d+)
-  | (?P<op>[+\-*/])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+_TOKEN = re.compile(r"(?P<factor>(?:S\*?|P)\[(?:[12]*|e)\]|U(?:\^-?\d+|\*)?)"
+                    r"|(?P<num>\d+)|(?P<op>[+\-*/])|(?P<ws>\s+)")
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # over the interpreter's int-conversion limit
+        raise ParseError(f"number over {sys.get_int_max_str_digits()} digits", pos) from None
+
+
+def _factor(tok: str, pos: int) -> Element:
+    """The element a factor token names: 1, U, U*, U^k, S[w], S*[w] or P[w]."""
+    if tok == "1":
+        return one()
+    if tok[0] == "U":
+        return u(1 if tok == "U" else -1 if tok == "U*" else _int(tok[2:], pos + 2))
+    w = parse_word(tok[tok.index("[") + 1:-1])
+    return s_star(w) if tok[1] == "*" else s(w) if tok[0] == "S" else proj(w)
+
+
+def parse_element(text: str) -> Element:
+    """Parse element text: terms joined by '+' or '-', each an optional
+    sign and rational prefix 'p/q*' (an int unless a '/' is written), then
+    factors juxtaposed or joined by '*'.  A rational alone is a scalar term.
+
+    Factors: S[w], S*[w], P[w] (= S[w] S*[w]), U, U*, U^k, 1, with the
+    empty word written 'e'.  'U*' is one factor, so 'U*U' is 1.
+    """
+    toks, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup != "ws":
-            out.append((m.lastgroup, m, pos))
+            toks.append((m.lastgroup, m.group(), pos))
         pos = m.end()
-    return out
-
-
-def parse_element(text: str) -> Element:
-    """Parse element text: terms joined by '+' or '-', each an optional
-    rational prefix 'p/q*' followed by juxtaposed factors.
-
-    Factors: S[w], S*[w], P[w] (= S[w] S*[w]), U, U*, U^k, 1.  The empty
-    word is written 'e'.
-    """
-    tokens = _tokenize(text)
-    if not tokens:
+    if not toks:
         raise ParseError("empty element text", 0)
-    i = 0
-    n = len(tokens)
-
-    def peek():
-        return tokens[i][0] if i < n else None
-
-    def factor_element(kind, m) -> Element:
-        if kind == "sword":
-            return s(parse_word(m.group("sw")))
-        if kind == "sstar":
-            return s_star(parse_word(m.group("sstarw")))
-        if kind == "pword":
-            return proj(parse_word(m.group("pw")))
-        if kind == "upow":
-            return u(int(m.group("uexp")))
-        if kind == "ustar":
-            return u(-1)
-        if kind == "u":
-            return u(1)
-        raise AssertionError(kind)
-
-    def parse_rational() -> Coeff:
-        """An int, or a Fraction when a '/' is written."""
-        nonlocal i
-        kind, m, pos = tokens[i]
-        assert kind == "num"
-        num = int(m.group("num"))
-        i += 1
-        if i + 1 < n and tokens[i][0] == "op" and tokens[i][1].group("op") == "/" \
-                and tokens[i + 1][0] == "num":
-            den = int(tokens[i + 1][1].group("num"))
-            if den == 0:
-                raise ParseError("zero denominator", tokens[i + 1][2])
-            i += 2
-            return Fraction(num, den)
-        return num
-
-    FACTORS = ("sword", "sstar", "pword", "upow", "ustar", "u", "num")
-
-    def parse_term() -> Element:
-        nonlocal i
-        sign = 1
-        if peek() == "op" and tokens[i][1].group("op") in "+-":
-            if tokens[i][1].group("op") == "-":
-                sign = -1
-            i += 1
-        coeff = sign
-        if peek() == "num":
-            val = parse_rational()
-            if peek() == "op" and tokens[i][1].group("op") == "*":
-                i += 1
-                coeff = sign * val
-            elif peek() in FACTORS:
-                raise ParseError("missing '*' after coefficient", tokens[i][2])
-            else:
-                # bare scalar term; '1' alone parses here as the identity
-                return one().scale(sign * val)
-        acc = None
-        while peek() in FACTORS:
-            kind, m, pos = tokens[i]
-            if kind == "num":
-                if m.group("num") != "1":
-                    raise ParseError("numeric factor must be the identity '1'", pos)
-                fac = one()
-            else:
-                fac = factor_element(kind, m)
+    # read back to front: pop() takes the next token, toks[-1] peeks past it
+    toks = [("end", "", len(text))] + toks[::-1]
+    total, sign = Element(), 1
+    kind, tok, pos = toks.pop()
+    while True:
+        if tok in ("+", "-"):
+            sign = sign if tok == "+" else -sign
+            kind, tok, pos = toks.pop()
+        acc, coeff = None, sign
+        if kind == "num":
+            val = _int(tok, pos)
+            kind, tok, pos = toks.pop()
+            if tok == "/" and toks[-1][0] == "num":
+                _, tok, pos = toks.pop()
+                den = _int(tok, pos)
+                if not den:
+                    raise ParseError("zero denominator", pos)
+                val = Fraction(val, den)
+                kind, tok, pos = toks.pop()
+            coeff = sign * val
+            if tok == "*":
+                kind, tok, pos = toks.pop()
+            elif kind in ("factor", "num"):
+                raise ParseError("missing '*' after coefficient", pos)
+            else:  # a scalar term; '1' alone parses here as the identity
+                acc = one()
+        while kind in ("factor", "num"):
+            if kind == "num" and tok != "1":
+                raise ParseError("numeric factor must be the identity '1'", pos)
+            fac = _factor(tok, pos)
             acc = fac if acc is None else acc * fac
-            i += 1
-            # optional '*' between factors
-            if peek() == "op" and tokens[i][1].group("op") == "*" \
-                    and i + 1 < n and tokens[i + 1][0] in FACTORS:
-                i += 1
+            kind, tok, pos = toks.pop()
+            if tok == "*" and toks[-1][0] in ("factor", "num"):
+                kind, tok, pos = toks.pop()
         if acc is None:
-            raise ParseError("expected a factor",
-                             tokens[i][2] if i < n else len(text))
-        return acc.scale(coeff)
-
-    total = parse_term()
-    while i < n:
-        kind, m, pos = tokens[i]
-        if kind != "op" or m.group("op") not in "+-":
+            raise ParseError("expected a factor", pos)
+        total = total + acc.scale(coeff)
+        if kind == "end":
+            return total
+        if tok not in ("+", "-"):
             raise ParseError("expected '+' or '-'", pos)
-        sign = 1 if m.group("op") == "+" else -1
-        i += 1
-        total = total + parse_term().scale(sign)
-    return total
+        sign = 1 if tok == "+" else -1
+        kind, tok, pos = toks.pop()
 
 
 # JSON format ---------------------------------------------------------------

@@ -851,6 +851,9 @@ def run_verify_counts(level, sample=1000):
     deterministic sample when a family is larger than `sample`)."""
     import random
 
+    if sample < 0:
+        raise ParseError(f"--sample must be 0 or more, got {sample}")
+
     report = []
     checks = 0
     for label in template_labels(level):

@@ -229,6 +229,28 @@ def test_construct_refuses_options_of_another_kind(capsys):
         assert one_line_error(err) and "parse error" in err and option in err
 
 
+def test_verify_counts_refuses_a_negative_sample(capsys, monkeypatch):
+    import qu2.endo
+
+    def no_family(*args):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(qu2.endo, "_family", no_family)
+    for level in ("2", "3"):
+        code, out, err = run(capsys, "verify-counts", "--level", level,
+                             "--sample", "-1")
+        assert (code, out) == (2, ""), level
+        assert one_line_error(err) and "parse error" in err and "--sample" in err
+
+
+def test_over_long_numbers_are_one_line_parse_errors(capsys):
+    nines = "9" * 5000
+    for text in (f"U^{nines}", f"{nines}*U"):
+        code, out, err = run(capsys, "normalize", text)
+        assert (code, out) == (2, ""), text[:8]
+        assert one_line_error(err) and "parse error" in err, err[:200]
+
+
 def test_enumerate_verb(capsys):
     code, out, _ = run(capsys, "enumerate", "--level", "2", "--all-templates")
     assert code == 0

@@ -34,7 +34,7 @@ from qu2.element import (
 )
 from qu2.monomial import Monomial, expand_right, mono_mul
 from qu2.wgroup import Diagram, from_element, reduce, to_element
-from qu2.words import carets, decode, is_partition, offset
+from qu2.words import carets, decode, is_partition, offset, word_str
 
 from helpers import time_limit
 from test_wgroup import diagrams
@@ -403,6 +403,20 @@ def test_parser():
         parse_element("S[1")
     with pytest.raises(ParseError):
         parse_element("U +")
+    # '-' joins terms and '*' joins factors; 'U*' is one factor, U's adjoint
+    assert parse_element("U*U") == one()
+    assert parse_element("U * U") == parse_element("U U") == u(2)
+    assert parse_element("S[1]*S[2]") == s((1, 2))
+    assert parse_element("S[1] - S[1]") == zero()
+
+
+def test_over_long_numbers_are_parse_errors_at_their_position():
+    nines = "9" * 5000
+    for text, pos in ((f"U^{nines}", 2), (f"U^-{nines}", 2), (f"{nines}*U", 0),
+                      (f"1/{nines}*U", 2), (f"S[1] + U^{nines}", 9)):
+        with pytest.raises(ParseError, match="number over") as exc:
+            parse_element(text)
+        assert exc.value.pos == pos, text[:12]
 
 
 def test_parsed_coefficients_are_int_unless_a_slash_is_written():
@@ -416,6 +430,33 @@ def test_parsed_coefficients_are_int_unless_a_slash_is_written():
 @given(elements)
 def test_str_round_trip(e):
     assert parse_element(element_str(e)) == e
+
+
+# int or non-integral Fraction coefficients, so each keeps its type through
+# the text; distinct monomials, so no two terms merge on the way in
+typed_coeffs = st.one_of(st.integers(-3, 3).filter(bool),
+                         coeffs.filter(lambda c: c.denominator != 1))
+typed_elements = st.dictionaries(monos, typed_coeffs, max_size=4).map(Element)
+
+
+def spelled(e: Element) -> str:
+    """e in the grammar's other spellings: '-' before negative terms, '*'
+    between factors, U* for U^-1 and 'e' for every empty word."""
+    parts = []
+    for (alpha, k, beta), c in e.sorted_terms():
+        charge = "U*" if k == -1 else f"U^{k}"
+        body = f"S[{word_str(alpha)}]*{charge}*S*[{word_str(beta)}]"
+        parts.append(f"{'-' if c < 0 else '+'} {abs(c)}*{body}")
+    return " ".join(parts) or "0"
+
+
+@given(typed_elements)
+def test_text_round_trip_keeps_terms_and_coefficient_types(e):
+    for text in (element_str(e), spelled(e)):
+        back = parse_element(text)
+        assert back == e, text
+        assert {m: type(c) for m, c in back.terms.items()} == \
+            {m: type(c) for m, c in e.terms.items()}, text
 
 
 @given(elements)
