@@ -360,11 +360,20 @@ def phi(e: Element) -> Element:
 def _unitary_terms(e: Element, what: str) -> Dict[Monomial, Coeff]:
     """The refined term map of e; DomainError naming `what` unless it is a
     coefficient-1 sum over a pair of complete prefix-free families (alphas
-    and betas each a partition)."""
-    f = _refine(e)
-    if not (f and all(c == 1 for c in f.values())
-            and is_partition(m.alpha for m in f)
-            and is_partition(m.beta for m in f)):
+    and betas each a partition).  When no stored beta is a caret of the
+    stored betas, the stored map is the refined form and is returned as it
+    is (callers only read it): its betas are a partition iff they are
+    distinct and one more than their carets (words.is_partition)."""
+    f = e.terms
+    betas = {m.beta for m in f}
+    inner = carets(betas)
+    if inner.isdisjoint(betas):
+        betas_ok = len(f) == len(betas) == len(inner) + 1
+    else:
+        f = _expand(e, inner.__contains__)
+        betas_ok = is_partition(m.beta for m in f)
+    if not (betas_ok and all(c == 1 for c in f.values())
+            and is_partition(m.alpha for m in f)):
         raise DomainError(f"{what} requires a unitary element")
     return f
 
@@ -416,8 +425,8 @@ def putnam_form(e: Element) -> List[Tuple[Element, int]]:
     t(a) - t(b) + 2^|a| * k; both splits of expand_right keep |a| - |b| and
     this exponent, so it is that of every expansion of the term.  Terms
     sharing an exponent pool their projections.  Returns (projection,
-    exponent) pairs sorted by exponent, after asserting that both the
-    p_j and their translates U^-n_j p_j U^n_j sum to 1, on the words.
+    exponent) pairs sorted by exponent, after checking them against the
+    refined terms (_translates_terms); a failed check is an AssertionError.
     """
     f = _unitary_terms(e, "putnam_form")
     groups: Dict[int, List[Word]] = {}
@@ -425,21 +434,30 @@ def putnam_form(e: Element) -> List[Tuple[Element, int]]:
         if len(a) != len(b):
             raise DomainError("putnam_form requires equal-length word pairs")
         groups.setdefault(offset(a) - offset(b) + (k << len(a)), []).append(a)
-    out = [(Element({Monomial(a, 0, a): 1 for a in groups[n]}), n)
+    out = [(Element({new_monomial((a, 0, a)): 1 for a in groups[n]}), n)
            for n in sorted(groups)]
-    assert _is_partition_of_unity(out)
+    if not _translates_terms(out, f):
+        raise AssertionError("putnam_form's projections do not match the "
+                             "refined terms")
     return out
 
 
-def _is_partition_of_unity(pairs: List[Tuple[Element, int]]) -> bool:
-    """True iff sum_j p_j = 1 and sum_j U^-n_j p_j U^n_j = 1 for pairs
-    (sum of projections p_j, exponent n_j).  U^-n S_a = S_a'' U^q with
-    t(a'') = (t(a) - n) mod 2^|a|, so U^-n P_a U^n = P_a'', and a sum of
-    projections P_w is 1 iff the words w form a partition."""
-    words = [(m.alpha, n) for p, n in pairs for m in p.terms]
-    return (is_partition(a for a, _n in words)
-            and is_partition(decode(len(a), (offset(a) - n) % (1 << len(a)))
-                             for a, n in words))
+def _translates_terms(pairs: List[Tuple[Element, int]],
+                      f: Dict[Monomial, Coeff]) -> bool:
+    """True iff the projections of pairs (p_j, exponent n_j) are P_a, once
+    each, for exactly the alphas a of f's terms (a, k, b), and each
+    translate U^-n_j P_a U^n_j is that term's P_b (U^-n S_a = S_a'' U^q
+    with t(a'') = (t(a) - n) mod 2^|a|, so the translate is P_a'').  The
+    alphas and the betas of f are partitions, so then sum_j p_j = 1 and
+    sum_j U^-n_j p_j U^n_j = 1."""
+    beta_of = {a: b for a, _k, b in f}
+    for p, n in pairs:
+        for (a, k, a2), c in p.terms.items():
+            b = beta_of.pop(a, None)
+            moved = decode(len(a), (offset(a) - n) & ((1 << len(a)) - 1))
+            if c != 1 or k or a2 != a or b != moved:
+                return False
+    return not beta_of
 
 
 def bd_v_factor(e: Element) -> Tuple[Element, Element]:
@@ -450,8 +468,8 @@ def bd_v_factor(e: Element) -> Tuple[Element, Element]:
     factor has charge zero.  Their product recovers the input exactly.
     """
     f = _unitary_terms(e, "bd_v_factor")
-    bd = Element({Monomial(a, k, a): 1 for (a, k, _b) in f})
-    v = Element({Monomial(a, 0, b): 1 for (a, _k, b) in f})
+    bd = Element({new_monomial((a, k, a)): 1 for (a, k, _b) in f})
+    v = Element({new_monomial((a, 0, b)): 1 for (a, _k, b) in f})
     return bd, v
 
 

@@ -163,7 +163,8 @@ def identity_diagram() -> Diagram:
 
 
 def _check_depth(terms: List[Leaf]) -> None:
-    if max(max(len(a), len(b)) for a, _k, b in terms) > _MAX_TREE_DEPTH:
+    alphas, _v, betas = zip(*terms)
+    if max(map(len, alphas + betas)) > _MAX_TREE_DEPTH:
         raise CapacityError(_TOO_DEEP)
 
 

@@ -8,7 +8,8 @@ letter 1 carrying the digit 1 and the letter 2 the digit 0.  The pair
 
 The words of up to _TABLE_LEN letters sit in one table built at import,
 indexed [length][offset], with an inverse dict from word to offset; decode
-and offset answer from it and read longer words through bytes.translate.
+and offset answer from it, decode reads a word of up to twice that length
+as two table words, and longer words go through bytes.translate.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ _TABLE: list[list[Word]] = [[EMPTY]]
 for _n in range(_TABLE_LEN):
     _TABLE.append([w + (2,) for w in _TABLE[-1]] + [w + (1,) for w in _TABLE[-1]])
 _OFFSETS = {w: t for row in _TABLE for t, w in enumerate(row)}
+_FULL, _MASK = _TABLE[_TABLE_LEN], (1 << _TABLE_LEN) - 1
 
 # bytes.translate tables: digit characters to letters ("1" -> 1, "0" -> 2),
 # and letters to digit characters, every other byte to a non-digit
@@ -58,6 +60,10 @@ def decode(length: int, off: int) -> Word:
         raise DomainError(f"offset {off} out of range for length {length}")
     if length <= _TABLE_LEN:
         return _TABLE[length][off]
+    if length <= 2 * _TABLE_LEN:
+        # two table words: the first _TABLE_LEN letters are the low bits
+        return (_FULL[off & _MASK]
+                + _TABLE[length - _TABLE_LEN][off >> _TABLE_LEN])
     # the binary digits with a sentinel top bit, least significant first
     return tuple(format(off | 1 << length, "b")[:0:-1].encode()
                  .translate(_LETTERS))

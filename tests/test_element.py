@@ -1,17 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qu2.element
-from qu2.canrep import apply_basis, semantic_eq
+from qu2.canrep import DecoratedPermutative, apply_basis, semantic_eq
 from qu2.errors import CapacityError, DomainError, ParseError
 from qu2.element import (
     Element,
     _expand,
     _first_difference,
-    _is_partition_of_unity,
+    _refine,
+    _translates_terms,
+    _unitary_terms,
     bd_v_factor,
     element_str,
     eq,
@@ -36,7 +41,7 @@ from qu2.monomial import Monomial, expand_right, mono_mul
 from qu2.wgroup import Diagram, from_element, reduce, to_element
 from qu2.words import carets, decode, is_partition, offset, word_str
 
-from helpers import time_limit
+from helpers import SRC, time_limit
 from test_wgroup import diagrams
 
 words = st.lists(st.sampled_from((1, 2)), max_size=3).map(tuple)
@@ -291,6 +296,18 @@ def test_bd_v_factor():
 
 # -- putnam_form's self-check, decided on words ------------------------------
 
+def _is_partition_of_unity(pairs):
+    """True iff sum_j p_j = 1 and sum_j U^-n_j p_j U^n_j = 1 for pairs
+    (sum of projections p_j, exponent n_j).  U^-n S_a = S_a'' U^q with
+    t(a'') = (t(a) - n) mod 2^|a|, so U^-n P_a U^n = P_a'', and a sum of
+    projections P_w is 1 iff the words w form a partition: the reference
+    for putnam_form's self-check, _translates_terms."""
+    words = [(m.alpha, n) for p, n in pairs for m in p.terms]
+    return (is_partition(a for a, _n in words)
+            and is_partition(decode(len(a), (offset(a) - n) % (1 << len(a)))
+                             for a, n in words))
+
+
 def element_product_check(pairs):
     """sum_j p_j = 1 and sum_j U^-n_j p_j U^n_j = 1, decided by Element
     products and eq: the reference for _is_partition_of_unity."""
@@ -357,6 +374,143 @@ def test_putnam_form_builds_no_product(d):
         mp.setattr(qu2.element, "eq", refuse)
         mp.setattr(qu2.element, "u", refuse)
         assert putnam_form(bd) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagrams(), st.data())
+def test_putnam_self_check_refuses_mutated_answers(d, data):
+    bd = bd_v_factor(to_element(d))[0]
+    f = _unitary_terms(bd, "test")
+    pairs = putnam_form(bd)
+    assert _translates_terms(pairs, f)
+    j = data.draw(st.integers(0, len(pairs) - 1))
+    p, n = pairs[j]
+    # an exponent shifted by +-1 moves the translate of every word of its
+    # group with a letter; a word of none (P_e = 1) is its own translate
+    step = data.draw(st.sampled_from((1, -1)))
+    shifted = pairs[:j] + [(p, n + step)] + pairs[j + 1:]
+    dropped = pairs[:j] + [(Element(dict(sorted(p.terms.items())[1:])), n)] \
+        + pairs[j + 1:]
+    again = data.draw(st.sampled_from(sorted(p.terms)))
+    duplicated = pairs + [(Element({again: 1}), n)]
+    assert _translates_terms(shifted, f) == (not any(m.alpha for m in p.terms))
+    assert not _translates_terms(dropped, f)
+    assert not _translates_terms(duplicated, f)
+    # no weaker than the reference: what passes is a partition of unity
+    for mutated in (shifted, dropped, duplicated):
+        if _translates_terms(mutated, f):
+            assert _is_partition_of_unity(mutated)
+
+
+def test_putnam_self_check_raises_under_optimization():
+    # the self-check is an explicit raise, so python -O keeps it
+    code = ("import qu2.element as E\n"
+            "E._translates_terms = lambda pairs, f: False\n"
+            "try:\n"
+            "    E.putnam_form(E.flip_flop())\n"
+            "except AssertionError as exc:\n"
+            "    print('refused:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("refused: putnam_form")
+
+
+# -- _unitary_terms: the stored map when it is already refined ---------------
+
+def reference_unitary_terms(e, what):
+    """Refine, then check both word families: the rule _unitary_terms
+    decides without refining a stored tree pair."""
+    f = _refine(e)
+    if not (f and all(c == 1 for c in f.values())
+            and is_partition(m.alpha for m in f)
+            and is_partition(m.beta for m in f)):
+        raise DomainError(f"{what} requires a unitary element")
+    return f
+
+
+def _outcome(rule, e):
+    try:
+        return True, rule(e, "a test")
+    except DomainError as exc:
+        return False, str(exc)
+
+
+def _unitary_terms_cases(rng):
+    """Tree pairs (reduced and not, some re-expanded), their re-expansions
+    written with a stored beta over its children (coefficient 2 on the
+    parent, -1 on each child), and near misses: a child added, one
+    coefficient 2, an alpha split over one beta, a dropped leaf, a beta
+    word moved onto another, a random element, the empty element."""
+    d = _random_diagram(rng, max_leaves=8)
+    w = to_element(d if rng.random() < 0.5 else reduce(d))
+    yield w
+    w = _expand_some(rng, w)
+    yield w
+    items = list(w.terms.items())
+    m, _c = rng.choice(items)
+    halves = expand_right(m)
+    yield w + Element({m: 1, halves[0]: -1, halves[1]: -1})
+    yield w + Element.mono(rng.choice(halves))
+    yield w + Element.mono(m)
+    # m's alpha split in two over m's beta: both alphas and the set of betas
+    # are partitions, but one beta is repeated
+    a, k, b = m
+    yield w - Element.mono(m) + Element({Monomial(a + (1,), k, b): 1,
+                                         Monomial(a + (2,), -k, b): 1})
+    if len(items) > 1:
+        yield Element(dict(items[1:]))
+        (a, k, _b), (_a2, _k2, b2) = rng.sample(list(w.terms), 2)
+        terms = dict(w.terms)
+        del terms[Monomial(a, k, _b)]
+        terms[Monomial(a, k, b2)] = 1
+        yield Element(terms)
+    yield _random_element(rng, max_terms=6)
+    yield zero()
+
+
+def test_unitary_terms_match_refining_first():
+    rng = random.Random(22)
+    cases = unitary = not_prefix_free = 0
+    for _ in range(300):
+        for e in _unitary_terms_cases(rng):
+            cases += 1
+            betas = {m.beta for m in e.terms}
+            refined = carets(betas).isdisjoint(betas)
+            not_prefix_free += not refined
+            got = _outcome(_unitary_terms, e)
+            assert got == _outcome(reference_unitary_terms, e), e
+            if got[0]:
+                unitary += 1
+                # a stored map that is already refined is returned, not copied
+                assert (got[1] is e.terms) == refined, e
+    assert cases >= 2000
+    assert unitary >= 850 and cases - unitary >= 1500
+    assert not_prefix_free >= 600
+
+
+def test_readers_leave_the_stored_terms_alone():
+    # a stored tree pair, its charge-free factor, and the same operator with
+    # a stored beta over its children, which is refined into a new map
+    rng = random.Random(23)
+    for _ in range(100):
+        e = _expand_some(rng, to_element(_random_diagram(rng)))
+        m = rng.choice(list(e.terms))
+        halves = expand_right(m)
+        for x in (e, bd_v_factor(e)[1],
+                  e + Element({m: 1, halves[0]: -1, halves[1]: -1})):
+            before = dict(x.terms)
+            assert is_unitary(x)
+            total_charge(x)
+            bd, v = bd_v_factor(x)
+            bd_before = dict(bd.terms)
+            pairs = putnam_form(bd)
+            d = from_element(x)
+            dp = DecoratedPermutative.from_element(x)
+            assert x.terms == before and bd.terms == bd_before
+            assert bd.terms is not x.terms and v.terms is not x.terms
+            assert all(p.terms is not bd.terms for p, _n in pairs)
+            assert d.leaf_map is not x.terms and dp.terms is not x.terms
 
 
 def test_total_charge():

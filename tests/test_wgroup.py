@@ -35,7 +35,7 @@ from qu2.wgroup import (
     to_element,
     tree_from_words,
 )
-from qu2.words import carets, is_partition
+from qu2.words import all_words, carets, is_partition
 from helpers import time_limit
 from test_words import families
 
@@ -320,6 +320,24 @@ def test_deep_tree_is_refused_at_construction():
     right, left = combs(513)
     with pytest.raises(CapacityError, match="deeper than 512 levels"):
         Diagram(right, left, tuple(range(514)), (0,) * 514)
+
+
+def test_element_deeper_than_the_cap_is_capacity_error():
+    # the comb 2, 12, ..., 1^(n-1) 2, 1^n has a word of n letters; paired
+    # with a tree of depth 10 on the other side, it is read into a diagram
+    # up to n = 512, on either side
+    for n in (512, 513):
+        comb = [(1,) * i + (2,) for i in range(n)] + [(1,) * n]
+        short = all_words(9)
+        short = [w + (x,) for w in short[:n - 511] for x in (1, 2)] \
+            + short[n - 511:]
+        e = Element({Monomial(a, 0, b): 1 for a, b in zip(short, comb)})
+        for x in (e, e.adjoint()):
+            if n == 512:
+                assert from_element(x).leaf_count() == n + 1
+            else:
+                with pytest.raises(CapacityError, match="deeper than 512 levels"):
+                    from_element(x)
 
 
 wide_charges = st.one_of(st.integers(-10, 10), st.integers(-2 ** 70, 2 ** 70))

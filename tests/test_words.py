@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -52,6 +54,20 @@ def test_round_trip_across_table_length():
         assert offs == [sum((letter == 1) << j for j, letter in enumerate(w))
                         for w in ws]
         assert [decode(length, t) for t in offs] == ws
+
+
+def test_decode_offset_round_trip_by_length():
+    # lengths inside the word table, read as two table words (9-16) and
+    # read through bytes (17 on): seeded words against the defining sum
+    rng = random.Random(9)
+    for length in list(range(41)) + [64, 512]:
+        ws = [tuple(rng.choice((1, 2)) for _ in range(length))
+              for _ in range(40)]
+        ws += [(1,) * length, (2,) * length]
+        for w in ws:
+            t = sum((letter == 1) << j for j, letter in enumerate(w))
+            assert offset(w) == t
+            assert decode(length, t) == w
 
 
 def test_decode_range_checked():
