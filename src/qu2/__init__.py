@@ -20,8 +20,9 @@ _EXPORTS = {
     "monomial": "Monomial ONE adjoint_mono expand_right mono_mul mono_str "
                 "parse_mono push_u_through u_pow",
     "element": "Element Membership bd_v_factor element_str eq flip_flop "
-               "from_json is_unitary membership normalize one parse_element "
-               "phi proj putnam_form s s_star to_json total_charge u zero",
+               "from_json in_w is_unitary membership normalize one "
+               "parse_element phi proj putnam_form s s_star to_json "
+               "total_charge u zero",
     "canrep": "BasisVector DecoratedPermutative Zero apply_basis dp_split "
               "mono_image phase_apply semantic_eq",
     "wgroup": "Diagram charge diagram_from_json diagram_to_json from_element "

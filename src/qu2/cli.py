@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("adjoint", cmd_adjoint, "adjoint of an element")
     p.add_argument("expr")
 
-    p = add("unitary", cmd_unitary, "is the element a finite-level unitary")
+    p = add("unitary", cmd_unitary, "is the element unitary (e* e = 1 = e e*)")
     p.add_argument("expr")
 
     p = add("membership", cmd_membership, "subalgebra membership flags")

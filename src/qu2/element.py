@@ -40,8 +40,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import (Monomial, ONE, adjoint_mono, expand_right, mono_str,
                        new_monomial, u_pow)
-from .words import (Word, carets, decode, is_partition, offset, parse_word,
-                    word_str)
+from .words import (_TABLE, _TABLE_LEN, Word, carets, decode, is_partition,
+                    offset, parse_word, word_str)
 
 Coeff = object  # int | Fraction, kept exact throughout
 
@@ -51,9 +51,16 @@ _denominator = attrgetter("denominator")
 # element brought 16 letters deeper)
 _MAX_TERMS = 1 << 16
 
-# a product of more term pairs is refused before its loop: the 2^24 pairs
-# of two 4,096-term elements take about 1.5 s on a 2-core VM
+# a product of more term pairs is refused before its loop.  On a 2-core VM
+# 2^24 pairs take about 0.8 s when nearly all are orthogonal (two 4,096-term
+# partitions of depth 12) and 16-20 s when all meet (two 4,096-term sums of
+# powers of U)
 _MAX_TERM_PAIRS = 1 << 24
+
+# a product holds at most about this many built terms before it sums them
+# into its term map, so its memory follows its operands and its answer, not
+# its pair count (2^24 pairs that all meet would be about 2 GiB of terms)
+_PENDING_TERMS = 1 << 16
 
 
 def _add_terms(acc: Dict[Monomial, Coeff],
@@ -129,16 +136,26 @@ class Element:
         # the low |b1| bits of t(a2) are t(b1), and the suffix past it has
         # offset t(a2) >> |b1|.  Each word is encoded once, and an
         # orthogonal pair costs one compare and no call.  A meeting pair
-        # reads its suffix word from the word table (decode) and builds its
-        # term in C (new_monomial).  Coefficients as int numerators over
-        # one denominator per operand: a pair costs an int product, and
-        # each distinct sum becomes a Fraction once.
+        # runs the odometer on one int v (carry v >> n, offset v & mask,
+        # which is divmod for negative v too), reads its suffix word
+        # straight from the word table (its offset is in range by
+        # construction; past the table, decode), and builds its term in C
+        # (new_monomial).  The terms and their int products go to two
+        # lists, in pair order, and one dict over them is the term map when
+        # no two pairs share a term; otherwise the lists are summed in pair
+        # order, dropping terms that cancel, as they are too once a row
+        # leaves more than _PENDING_TERMS terms pending.  Coefficients are
+        # int numerators over one denominator per operand, and each
+        # distinct sum becomes a Fraction once.
         d1 = lcm(*map(_denominator, self.terms.values()))
         d2 = lcm(*map(_denominator, other.terms.values()))
         right = [(len(a2), offset(a2), k2, b2,
                   c2.numerator * (d2 // c2.denominator))
                  for (a2, k2, b2), c2 in other.terms.items()]
         acc: Dict[Monomial, int] = {}
+        ms: List[Monomial] = []
+        cs: List[int] = []
+        add_m, add_c = ms.append, cs.append
         for (a1, k1, b1), c1 in self.terms.items():
             c1 = c1.numerator * (d1 // c1.denominator)
             n1, t1 = len(b1), offset(b1)
@@ -149,22 +166,29 @@ class Element:
                         continue
                     # S_b1* S_a2 = S_g, then U^k1 S_g = S_g2 U^q
                     n = n2 - n1
-                    q, t = divmod((t2 >> n1) + k1, 1 << n)
-                    m = new_monomial((a1 + decode(n, t), q + k2, b2))
+                    v = (t2 >> n1) + k1
+                    t = v & ((1 << n) - 1)
+                    add_m(new_monomial((
+                        a1 + (_TABLE[n][t] if n <= _TABLE_LEN else decode(n, t)),
+                        (v >> n) + k2, b2)))
                 else:
                     if t1 & ((1 << n2) - 1) != t2:
                         continue
                     # S_b1* S_a2 = S_d*, then S_d* U^k2 = U^-q S_d2*
                     n = n1 - n2
-                    q, t = divmod((t1 >> n2) - k2, 1 << n)
-                    m = new_monomial((a1, k1 - q, b2 + decode(n, t)))
-                c = c1 * c2
-                old = acc.get(m)
-                new = c if old is None else old + c
-                if new:
-                    acc[m] = new
-                else:
-                    acc.pop(m, None)
+                    v = (t1 >> n2) - k2
+                    t = v & ((1 << n) - 1)
+                    add_m(new_monomial((
+                        a1, k1 - (v >> n),
+                        b2 + (_TABLE[n][t] if n <= _TABLE_LEN else decode(n, t)))))
+                add_c(c1 * c2)
+            if len(ms) > _PENDING_TERMS:
+                acc = _add_terms(acc, zip(ms, cs))
+                ms.clear()
+                cs.clear()
+        fresh = dict(zip(ms, cs))
+        acc = fresh if not acc and len(fresh) == len(ms) \
+            else _add_terms(acc, zip(ms, cs))
         d = d1 * d2
         if d != 1:
             fracs = {n: Fraction(n, d) for n in set(acc.values())}
@@ -358,12 +382,13 @@ def phi(e: Element) -> Element:
 
 
 def _unitary_terms(e: Element, what: str) -> Dict[Monomial, Coeff]:
-    """The refined term map of e; DomainError naming `what` unless it is a
-    coefficient-1 sum over a pair of complete prefix-free families (alphas
-    and betas each a partition).  When no stored beta is a caret of the
-    stored betas, the stored map is the refined form and is returned as it
-    is (callers only read it): its betas are a partition iff they are
-    distinct and one more than their carets (words.is_partition)."""
+    """The refined term map of e; DomainError naming `what` unless e is a
+    tree-pair unitary of W: a coefficient-1 sum over a pair of complete
+    prefix-free families (alphas and betas each a partition).  When no
+    stored beta is a caret of the stored betas, the stored map is the
+    refined form and is returned as it is (callers only read it): its betas
+    are a partition iff they are distinct and one more than their carets
+    (words.is_partition)."""
     f = e.terms
     betas = {m.beta for m in f}
     inner = carets(betas)
@@ -374,18 +399,30 @@ def _unitary_terms(e: Element, what: str) -> Dict[Monomial, Coeff]:
         betas_ok = is_partition(m.beta for m in f)
     if not (betas_ok and all(c == 1 for c in f.values())
             and is_partition(m.alpha for m in f)):
-        raise DomainError(f"{what} requires a unitary element")
+        raise DomainError(f"{what} requires a coefficient-1 tree-pair "
+                          f"unitary of W")
     return f
 
 
-def is_unitary(e: Element) -> bool:
-    """True iff the refined form is a coefficient-1 sum over a pair of
-    partitions."""
+def in_w(e: Element) -> bool:
+    """True iff e is a tree-pair unitary of W: its refined form is a
+    coefficient-1 sum over a pair of partitions."""
     try:
-        _unitary_terms(e, "is_unitary")
+        _unitary_terms(e, "in_w")
     except DomainError:
         return False
     return True
+
+
+def is_unitary(e: Element) -> bool:
+    """True iff e* e = 1 = e e*.  A tree-pair unitary of W (in_w) answers
+    at once; otherwise both products are formed and compared with 1 by eq,
+    so an element of n terms costs two products of n^2 term pairs, and
+    over 2^24 pairs is a CapacityError."""
+    if in_w(e):
+        return True
+    unit = one()
+    return eq(e.adjoint() * e, unit) and eq(e * e.adjoint(), unit)
 
 
 class Membership(dict):

@@ -28,8 +28,8 @@ import re
 from math import factorial
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .element import (Element, _expand, _refine, eq, is_unitary, normalize,
-                      one, parse_element, s, total_charge, u)
+from .element import (Element, _expand, _refine, eq, in_w, normalize, one,
+                      parse_element, s, total_charge, u)
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import Monomial, new_monomial
 from .words import Word, all_words, decode, lex_index, offset
@@ -204,15 +204,19 @@ def perm_unitary_from_element(e: Element, level: Optional[int] = None) -> PermUn
 
 # extension checking ----------------------------------------------------------
 
+# the extension check reads a candidate image of U as a tree pair
+_NOT_IN_W = "candidate image of U is not a coefficient-1 tree-pair unitary of W"
+
+
 def check_extension_parts(pu: PermUnitary, u_tilde: Element) -> Tuple[bool, bool]:
     """(ext1, ext2) truth values for the candidate image of U."""
-    if not is_unitary(u_tilde):
-        raise DomainError("candidate image of U must be unitary")
+    if not in_w(u_tilde):
+        raise DomainError(_NOT_IN_W)
     return _extension_parts(pu, u_tilde)
 
 
 def _extension_parts(pu: PermUnitary, u_tilde: Element) -> Tuple[bool, bool]:
-    """(ext1, ext2) for a candidate the caller has checked is unitary."""
+    """(ext1, ext2) for a candidate the caller has checked is in W."""
     s1t, s2t = pu.s_images()
     return eq(u_tilde * s2t, s1t), eq(u_tilde * s1t, s2t * u_tilde)
 
@@ -511,10 +515,10 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
     words 1y from rho on the words 2y, and a search over the 2-half prunes
     every collision and every partial rho that already breaks ext2
     (_extendible).  Both extension equations are then checked on each
-    survivor, as check_extension does, with the template checked for
-    unitarity once.  constructive mode replays the closed-form family
-    attached to the template and raises a domain error for templates with
-    no such family.  jobs changes nothing, since the search is serial; it
+    survivor, as check_extension does, with the template checked to be in
+    W once.  constructive mode replays the closed-form family attached to
+    the template and raises a domain error for templates with no such
+    family.  jobs changes nothing, since the search is serial; it
     stays only because the benchmark's sweep passes jobs=1.
     """
     if mode == "constructive":
@@ -527,8 +531,8 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
         raise CapacityError(
             f"brute force over {1 << k}! permutations is not tractable; "
             f"level must be <= {_MAX_BRUTE_LEVEL}")
-    if not is_unitary(template):
-        raise DomainError("candidate image of U must be unitary")
+    if not in_w(template):
+        raise DomainError(_NOT_IN_W)
     found = sorted(perm for perm in _extendible(k, template)
                    if all(_extension_parts(PermUnitary(k, perm), template)))
     return [PermUnitary(k, perm) for perm in found]

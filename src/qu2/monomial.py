@@ -10,8 +10,8 @@ monomial acts only on indices n congruent to t(beta) mod 2^|beta|, sending
 The product of two monomials is a prefix comparison plus the commutation
 rule U^k S_a = S_a' U^q (push_u_through); mono_mul is that rule for one
 pair, kept as the reference.  Element.__mul__ and wgroup._product inline
-it on words read as (|w|, t(w)), one divmod per meeting pair.  Expansion
-into deeper monomials uses the charge-parity splitting rules
+it on words read as (|w|, t(w)), one carry and offset per meeting pair.
+Expansion into deeper monomials uses the charge-parity splitting rules
 (expand_right).  The zero product is represented by None.
 """
 

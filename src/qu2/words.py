@@ -8,8 +8,8 @@ letter 1 carrying the digit 1 and the letter 2 the digit 0.  The pair
 
 The words of up to _TABLE_LEN letters sit in one table built at import,
 indexed [length][offset], with an inverse dict from word to offset; decode
-and offset answer from it, decode reads a word of up to twice that length
-as two table words, and longer words go through bytes.translate.
+and offset answer from it, both read a word of up to twice that length as
+two table words, and longer words go through bytes.translate.
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ def offset(w: Word) -> int:
     t = _OFFSETS.get(w)
     if t is not None:
         return t
+    if len(w) <= 2 * _TABLE_LEN:
+        # two table words: the first _TABLE_LEN letters are the low bits;
+        # a bad letter finds no table word and falls through to raise
+        low, high = _OFFSETS.get(w[:_TABLE_LEN]), _OFFSETS.get(w[_TABLE_LEN:])
+        if low is not None and high is not None:
+            return low | high << _TABLE_LEN
     try:
         # the digits most significant first; a letter other than 1 or 2
         # becomes "x", which int refuses, or fails in bytes()

@@ -83,6 +83,11 @@ def test_adjoint_unitary_membership(capsys):
 
     code, out, _ = run(capsys, "unitary", "S[1] S*[2] + S[2] S*[1]")
     assert (code, out) == (0, "true\n")
+    # unitaries outside W; text that begins with '-' goes after '--'
+    for text in ["-1*U", "P[1] - P[2]",
+                 "3/5*P[1] + 4/5*S[1] S*[2] - 4/5*S[2] S*[1] + 3/5*P[2]"]:
+        assert run(capsys, "unitary", "--", text)[:2] == (0, "true\n")
+    assert run(capsys, "unitary", "2*U")[:2] == (0, "false\n")
 
     code, out, _ = run(capsys, "membership", "P[1] + -1*P[2]", "--json")
     assert code == 0

@@ -22,6 +22,7 @@ from qu2.element import (
     eq,
     flip_flop,
     from_json,
+    in_w,
     is_unitary,
     membership,
     normalize,
@@ -212,11 +213,75 @@ def test_mul_fraction_budget(monkeypatch):
         assert len(built) <= budget
 
 
+def mono_mul_reference(e1, e2):
+    """mono_mul over the term pairs, collected in pair order."""
+    return Element.from_terms((c1 * c2, m)
+                              for m1, c1 in e1.terms.items()
+                              for m2, c2 in e2.terms.items()
+                              for m in [mono_mul(m1, m2)] if m is not None)
+
+
+@pytest.mark.parametrize("pending", [None, 7])
+def test_mul_on_re_expanded_operands(pending, monkeypatch):
+    # a times a brought 2-6 letters deeper: 300+ terms whose words run
+    # past the word table's 8 letters.  Every other a has int
+    # coefficients, and then so has the product.  Every third a carries
+    # one term next to its two halves, so that pairs share their terms.
+    # With a small bound on the pending terms, every row is summed into
+    # the term map as it ends, and no more than one row is ever pending.
+    if pending is not None:
+        monkeypatch.setattr(qu2.element, "_PENDING_TERMS", pending)
+    add_terms, longest = qu2.element._add_terms, []
+
+    def spy(acc, pairs):
+        pairs = list(pairs)
+        longest.append(len(pairs))
+        return add_terms(acc, pairs)
+
+    monkeypatch.setattr(qu2.element, "_add_terms", spy)
+    rng = random.Random(23)
+    shared = distinct = folded = 0
+    for i in range(12):
+        a = zero()
+        while not a.terms:
+            a = _random_element(rng, max_len=4, max_terms=8)
+        if i % 2:
+            a = Element({m: c.numerator * rng.choice((1, 2, 3))
+                         for m, c in a.terms.items()})
+        if i % 3 == 0:
+            m, c = next(iter(a.terms.items()))
+            a = a + Element.from_terms((c, half) for half in expand_right(m))
+        deep = normalize(a, a.depth() + rng.randint(2, 6))
+        while len(deep.terms) < 300:
+            deep = normalize(deep, deep.depth() + 1)
+        for e1, e2 in [(a, deep), (deep, a)]:
+            longest[:] = [0]
+            got = list((e1 * e2).terms.items())
+            if pending is not None:
+                assert max(longest) <= pending + len(e2.terms)
+                folded += max(longest) > 0
+            assert got == list(mono_mul_reference(e1, e2).terms.items())
+            assert all(type(m) is Monomial for m, _c in got)
+            if i % 2:
+                assert all(type(c) is int for _m, c in got)
+            pairs = [m for m1 in e1.terms for m2 in e2.terms
+                     for m in [mono_mul(m1, m2)] if m is not None]
+            if len(set(pairs)) < len(pairs):
+                shared += 1
+            else:
+                distinct += 1
+    assert shared and distinct
+    assert pending is None or folded >= 12
+
+
 @given(elements, st.integers(1, 3), st.lists(indices, min_size=3, max_size=5))
 def test_normalize_preserves_action(e, extra, points):
     out = normalize(e, e.depth() + extra)
     assert out.depth() == e.depth() + extra or not out.terms
     assert same_action(e, out, points)
+
+
+ROTATION = "3/5*P[1] + 4/5*S[1] S*[2] - 4/5*S[2] S*[1] + 3/5*P[2]"
 
 
 def test_is_unitary():
@@ -226,6 +291,65 @@ def test_is_unitary():
     assert not is_unitary(parse_element("S[2]"))
     assert not is_unitary(u().scale(Fraction(1, 2)))
     assert not is_unitary(u() + u())
+    # e* e = 1 = e e*, though no refined form is a coefficient-1 tree pair
+    for text in ["-1*U", "P[1] - P[2]", ROTATION, "-1",
+                 "S[1] S*[2] - S[2] S*[1]"]:
+        e = parse_element(text)
+        assert is_unitary(e) and not in_w(e), text
+        assert eq(e.adjoint() * e, one()) and eq(e * e.adjoint(), one())
+    # near misses: a coefficient off by a factor, an isometry that is not
+    # onto, a co-isometry, one sign of a rotation block flipped
+    for text in ["2*U", "3/5*P[1] - P[2]", "-1*S[2]", "-1*S*[2]", "0",
+                 ROTATION.replace("- 4/5", "+ 4/5"), "P[1] - P[2] + P[11]"]:
+        assert not is_unitary(parse_element(text)), text
+    assert in_w(u()) and in_w(F) and not in_w(zero())
+    # 8,192 terms: a tree pair of W answers with no product, anything else
+    # needs one of 2^26 term pairs, past the cap
+    wide = normalize(u(), 13)
+    assert is_unitary(wide)
+    with pytest.raises(CapacityError):
+        is_unitary(-wide)
+
+
+def _signed_diagonal(rng):
+    """d = sum of +-P_a over the leaves a of a random tree, and its leaves."""
+    leaves = [m.alpha for m in to_element(_random_diagram(rng)).terms]
+    return Element({Monomial(a, 0, a): rng.choice((1, -1))
+                    for a in leaves}), leaves
+
+
+def test_signed_tree_pairs_are_unitary():
+    # d w with d a +-1 diagonal and w in W normalizes the diagonal: the
+    # oracle maps each e_n to +-e_m, one to one.  One sign set to 3/5, or
+    # the product doubled, is no unitary; a rotation block spliced in
+    # over two sibling leaves is one.
+    rng = random.Random(31)
+    points = range(-40, 40)
+    signed = 0
+    for _ in range(150):
+        d, leaves = _signed_diagonal(rng)
+        w = to_element(_random_diagram(rng))
+        e = _expand_some(rng, d * w if rng.random() < 0.5 else w * d)
+        images = [apply_basis(e, n) for n in points]
+        assert all(len(img) == 1 and abs(img[0][0]) == 1 for img in images)
+        assert len({img[0][1] for img in images}) == len(points)
+        assert is_unitary(e), e
+        negative = -1 in d.terms.values()
+        assert in_w(e) == (not negative), e
+        signed += negative
+        a = rng.choice(leaves)
+        pa = Monomial(a, 0, a)
+        near = Element({**d.terms, pa: Fraction(3, 5)})
+        assert not is_unitary(near * w), near
+        assert not is_unitary(e.scale(2))
+        x1, x2 = a + (1,), a + (2,)
+        block = Element({Monomial(x1, 0, x1): Fraction(3, 5),
+                         Monomial(x1, 0, x2): Fraction(4, 5),
+                         Monomial(x2, 0, x1): Fraction(-4, 5),
+                         Monomial(x2, 0, x2): Fraction(3, 5)})
+        rotated = d - Element.mono(pa, d.terms[pa]) + block
+        assert is_unitary(rotated * w) and not in_w(rotated * w)
+    assert signed >= 100
 
 
 def test_membership():
@@ -270,7 +394,7 @@ def test_putnam_form_recomposes(e, points):
     partition = parse_element("P[1] + P[2]")
     v = normalize(partition * e * partition + zero())
     # build a gauge-invariant unitary out of whatever survives; skip junk
-    cand = F if not is_unitary(v) or not membership(v).in_QT else v
+    cand = F if not in_w(v) or not membership(v).in_QT else v
     pairs = putnam_form(cand)
     recomposed = zero()
     for p, n in pairs:
@@ -425,7 +549,8 @@ def reference_unitary_terms(e, what):
     if not (f and all(c == 1 for c in f.values())
             and is_partition(m.alpha for m in f)
             and is_partition(m.beta for m in f)):
-        raise DomainError(f"{what} requires a unitary element")
+        raise DomainError(f"{what} requires a coefficient-1 tree-pair "
+                          f"unitary of W")
     return f
 
 
@@ -634,7 +759,7 @@ def test_package_root_constructors_are_elements():
 
 # -- refined forms against the uniform-depth canonical form -------------------
 #
-# eq, is_unitary, membership and total_charge read the common refinement of
+# eq, in_w, membership and total_charge read the common refinement of
 # the beta words.  The reference is the uniform-depth form: every term
 # rewritten with its beta at the longest depth present.
 
@@ -770,10 +895,10 @@ def test_unitary_membership_charge_match_uniform_depth():
     unitaries = 0
     for _ in range(400):
         for e in _unitary_candidates(rng):
-            unitary = is_unitary(e)
-            assert unitary == uniform_is_unitary(e), e
+            tree_pair = in_w(e)
+            assert tree_pair == uniform_is_unitary(e), e
             assert flags(e) == uniform_membership(e), e
-            if unitary:
+            if tree_pair:
                 unitaries += 1
                 assert total_charge(e) == sum(m.k for m in normalize(e).terms)
     assert unitaries >= 400
@@ -787,7 +912,7 @@ def test_structural_readers_match_uniform_depth():
     unitaries = 0
     for _ in range(400):
         for e in _unitary_candidates(rng):
-            if not is_unitary(e):
+            if not in_w(e):
                 continue
             unitaries += 1
             uniform = normalize(e)

@@ -101,6 +101,9 @@ def test_check_extension_level2_cases():
     assert check_extension(pu2("id"), u())
     with pytest.raises(DomainError):
         check_extension(pu2("id"), parse_element("S[2]"))
+    # unitary, but not a tree pair: the check reads the image as one
+    with pytest.raises(DomainError, match="tree-pair unitary of W"):
+        check_extension(pu2("id"), parse_element("-1*U^2"))
 
 
 def test_s_images_match_products():

@@ -24,7 +24,7 @@ EXPORTS = {
                  "mono_mul", "mono_str", "parse_mono", "push_u_through",
                  "u_pow"],
     "element": ["Element", "Membership", "bd_v_factor", "element_str", "eq",
-                "flip_flop", "from_json", "is_unitary", "membership",
+                "flip_flop", "from_json", "in_w", "is_unitary", "membership",
                 "normalize", "one", "parse_element", "phi", "proj",
                 "putnam_form", "s", "s_star", "to_json", "total_charge", "u",
                 "zero"],
@@ -80,7 +80,7 @@ def test_template_menu_loads_no_wgroup_or_canrep():
 def test_exports_are_their_home_objects():
     pairs = [[name, module] for module, names in EXPORTS.items()
              for name in names]
-    assert len(pairs) == 88
+    assert len(pairs) == 89
     code = ("import importlib, json, qu2\n"
             f"pairs = {pairs!r}\n"
             "bad = [n for n, m in pairs if getattr(qu2, n) is not "

@@ -84,6 +84,13 @@ def test_offset_rejects_bad_letters():
               (1,) * 11 + (49,), (1,) * 11 + (-1,), (1,) * 11 + ("1",)]:
         with pytest.raises(DomainError):
             offset(w)
+    # 9-16 letters are read as two table words: a bad letter in either
+    for length in range(9, 17):
+        for pos in (0, 7, 8, length - 1):
+            for bad in (0, 3, 49, "1", None):
+                w = (1, 2) * 8
+                with pytest.raises(DomainError):
+                    offset(w[:pos] + (bad,) + w[pos + 1:length])
 
 
 def test_prefix():
