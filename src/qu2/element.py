@@ -32,6 +32,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import lcm
 from operator import attrgetter
@@ -53,14 +54,14 @@ _MAX_TERMS = 1 << 16
 
 # a product of more term pairs is refused before its loop.  On a 2-core VM
 # 2^24 pairs take about 0.8 s when nearly all are orthogonal (two 4,096-term
-# partitions of depth 12) and 16-20 s when all meet (two 4,096-term sums of
+# partitions of depth 12) and 12-17 s when all meet (two 4,096-term sums of
 # powers of U)
 _MAX_TERM_PAIRS = 1 << 24
 
-# a product holds at most about this many built terms before it sums them
-# into its term map, so its memory follows its operands and its answer, not
-# its pair count (2^24 pairs that all meet would be about 2 GiB of terms)
-_PENDING_TERMS = 1 << 16
+# a product's output coefficients become Fractions through this cache of the
+# last 1,024 (numerator, denominator) pairs asked for: building a Fraction
+# costs about 0.8 us, and small rationals recur from product to product
+_fraction = lru_cache(maxsize=1 << 10)(Fraction)
 
 
 def _add_terms(acc: Dict[Monomial, Coeff],
@@ -139,23 +140,16 @@ class Element:
         # runs the odometer on one int v (carry v >> n, offset v & mask,
         # which is divmod for negative v too), reads its suffix word
         # straight from the word table (its offset is in range by
-        # construction; past the table, decode), and builds its term in C
-        # (new_monomial).  The terms and their int products go to two
-        # lists, in pair order, and one dict over them is the term map when
-        # no two pairs share a term; otherwise the lists are summed in pair
-        # order, dropping terms that cancel, as they are too once a row
-        # leaves more than _PENDING_TERMS terms pending.  Coefficients are
-        # int numerators over one denominator per operand, and each
-        # distinct sum becomes a Fraction once.
+        # construction; past the table, decode) and builds its term in C
+        # (new_monomial).  Coefficients as int numerators over one
+        # denominator per operand: a pair costs an int product, and each
+        # distinct sum becomes a Fraction once (_fraction).
         d1 = lcm(*map(_denominator, self.terms.values()))
         d2 = lcm(*map(_denominator, other.terms.values()))
         right = [(len(a2), offset(a2), k2, b2,
                   c2.numerator * (d2 // c2.denominator))
                  for (a2, k2, b2), c2 in other.terms.items()]
         acc: Dict[Monomial, int] = {}
-        ms: List[Monomial] = []
-        cs: List[int] = []
-        add_m, add_c = ms.append, cs.append
         for (a1, k1, b1), c1 in self.terms.items():
             c1 = c1.numerator * (d1 // c1.denominator)
             n1, t1 = len(b1), offset(b1)
@@ -168,9 +162,8 @@ class Element:
                     n = n2 - n1
                     v = (t2 >> n1) + k1
                     t = v & ((1 << n) - 1)
-                    add_m(new_monomial((
-                        a1 + (_TABLE[n][t] if n <= _TABLE_LEN else decode(n, t)),
-                        (v >> n) + k2, b2)))
+                    w = _TABLE[n][t] if n <= _TABLE_LEN else decode(n, t)
+                    m = new_monomial((a1 + w, (v >> n) + k2, b2))
                 else:
                     if t1 & ((1 << n2) - 1) != t2:
                         continue
@@ -178,20 +171,18 @@ class Element:
                     n = n1 - n2
                     v = (t1 >> n2) - k2
                     t = v & ((1 << n) - 1)
-                    add_m(new_monomial((
-                        a1, k1 - (v >> n),
-                        b2 + (_TABLE[n][t] if n <= _TABLE_LEN else decode(n, t)))))
-                add_c(c1 * c2)
-            if len(ms) > _PENDING_TERMS:
-                acc = _add_terms(acc, zip(ms, cs))
-                ms.clear()
-                cs.clear()
-        fresh = dict(zip(ms, cs))
-        acc = fresh if not acc and len(fresh) == len(ms) \
-            else _add_terms(acc, zip(ms, cs))
+                    w = _TABLE[n][t] if n <= _TABLE_LEN else decode(n, t)
+                    m = new_monomial((a1, k1 - (v >> n), b2 + w))
+                c = c1 * c2
+                old = acc.get(m)
+                new = c if old is None else old + c
+                if new:
+                    acc[m] = new
+                else:
+                    acc.pop(m, None)
         d = d1 * d2
         if d != 1:
-            fracs = {n: Fraction(n, d) for n in set(acc.values())}
+            fracs = {n: _fraction(n, d) for n in set(acc.values())}
             acc = {m: fracs[n] for m, n in acc.items()}
         return Element(acc)
 

@@ -10,6 +10,8 @@ The words of up to _TABLE_LEN letters sit in one table built at import,
 indexed [length][offset], with an inverse dict from word to offset; decode
 and offset answer from it, both read a word of up to twice that length as
 two table words, and longer words go through bytes.translate.
+Element.__mul__ also reads words of up to _TABLE_LEN letters straight
+from the table, so its layout is shared with that loop.
 """
 
 from __future__ import annotations

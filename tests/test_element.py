@@ -213,6 +213,25 @@ def test_mul_fraction_budget(monkeypatch):
         assert len(built) <= budget
 
 
+def test_mul_reuses_recent_fractions(monkeypatch):
+    # recent output coefficients are cached: the same small product again
+    # builds no Fraction, and its coefficients are still equal Fractions
+    e = parse_element("1/2*U + 1/3*P[1] - 3/5*S[2] U S*[21]")
+    first = e * e.adjoint()
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    again = e * e.adjoint()
+    assert not built
+    assert list(again.terms.items()) == list(first.terms.items())
+    assert all(type(c) is Fraction for c in again.terms.values())
+
+
 def mono_mul_reference(e1, e2):
     """mono_mul over the term pairs, collected in pair order."""
     return Element.from_terms((c1 * c2, m)
@@ -221,26 +240,13 @@ def mono_mul_reference(e1, e2):
                               for m in [mono_mul(m1, m2)] if m is not None)
 
 
-@pytest.mark.parametrize("pending", [None, 7])
-def test_mul_on_re_expanded_operands(pending, monkeypatch):
+def test_mul_on_re_expanded_operands():
     # a times a brought 2-6 letters deeper: 300+ terms whose words run
     # past the word table's 8 letters.  Every other a has int
     # coefficients, and then so has the product.  Every third a carries
     # one term next to its two halves, so that pairs share their terms.
-    # With a small bound on the pending terms, every row is summed into
-    # the term map as it ends, and no more than one row is ever pending.
-    if pending is not None:
-        monkeypatch.setattr(qu2.element, "_PENDING_TERMS", pending)
-    add_terms, longest = qu2.element._add_terms, []
-
-    def spy(acc, pairs):
-        pairs = list(pairs)
-        longest.append(len(pairs))
-        return add_terms(acc, pairs)
-
-    monkeypatch.setattr(qu2.element, "_add_terms", spy)
     rng = random.Random(23)
-    shared = distinct = folded = 0
+    shared = distinct = 0
     for i in range(12):
         a = zero()
         while not a.terms:
@@ -255,11 +261,7 @@ def test_mul_on_re_expanded_operands(pending, monkeypatch):
         while len(deep.terms) < 300:
             deep = normalize(deep, deep.depth() + 1)
         for e1, e2 in [(a, deep), (deep, a)]:
-            longest[:] = [0]
             got = list((e1 * e2).terms.items())
-            if pending is not None:
-                assert max(longest) <= pending + len(e2.terms)
-                folded += max(longest) > 0
             assert got == list(mono_mul_reference(e1, e2).terms.items())
             assert all(type(m) is Monomial for m, _c in got)
             if i % 2:
@@ -271,7 +273,6 @@ def test_mul_on_re_expanded_operands(pending, monkeypatch):
             else:
                 distinct += 1
     assert shared and distinct
-    assert pending is None or folded >= 12
 
 
 @given(elements, st.integers(1, 3), st.lists(indices, min_size=3, max_size=5))
