@@ -67,12 +67,23 @@ def _parse_diagram_arg(text: str) -> Diagram:
 
 _BASIS = re.compile(r"^(?:e_?)?(-?\d+)$")
 _EVAL_TOKEN = re.compile(r"^(Uz|U|S1|S2)(\*?)(?:\[([^\]]+)\])?$")
+# an integer, p/q or a decimal: no exponent, whose power Fraction would build
+_ANGLE = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d*\.\d+)\s*")
+
+
+def _angle(text: str) -> Fraction:
+    """The angle of --z or of Uz[...]; no match (TypeError), q = 0 and
+    digits over the int-conversion limit are parse errors."""
+    try:
+        return Fraction(_ANGLE.fullmatch(text)[0])
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ParseError(f"bad angle {text!r}; want a/2^n") from None
 
 
 def _parse_eval_word(word: str, z_flag):
     """Generator tokens like "Uz[1/4] U S2*"; returns (z, token list)."""
     tokens = []
-    z = Fraction(z_flag) if z_flag is not None else None
+    z = _angle(z_flag) if z_flag is not None else None
     for raw in word.split():
         m = _EVAL_TOKEN.match(raw)
         if m is None:
@@ -81,7 +92,7 @@ def _parse_eval_word(word: str, z_flag):
         if angle is not None:
             if base != "Uz":
                 raise ParseError(f"only Uz tokens carry an angle: {raw!r}")
-            val = Fraction(angle)
+            val = _angle(angle)
             if z is not None and val != z:
                 raise ParseError("conflicting Uz angles")
             z = val

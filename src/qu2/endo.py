@@ -13,12 +13,13 @@ candidate Utilde; the constructive families (make_u_p, make_u_sigma,
 make_inner_phi) build unitaries that pass it for the standard template
 menu, and enumerate_extendible classifies, for one template, the
 extendible permutations of a level by a search that both equations
-prune, word by word, and that the extension checker verifies.  A
-permutation unitary is its index tuple: products, adjoints, phi and the
-rewriting one level up are index maps (PermUnitary), so make_u_p, the u
-of make_inner_phi and the automorphism probe's tower use no Element
-arithmetic.  Only this module knows the template menu: the CLI reaches it
-through template_element, template_members and construct.
+prune, word by word, on the template's leaf map (_image), and that the
+extension checker verifies.  A permutation unitary is its index tuple:
+products, adjoints, phi and the rewriting one level up are index maps
+(PermUnitary), so the families, the menu's templates and the automorphism
+probe's tower use no Element arithmetic.  Only this module knows the
+template menu: the CLI reaches it through template_element,
+template_members and construct.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from __future__ import annotations
 import itertools
 import re
 from math import factorial
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from .element import (Element, _expand, _refine, eq, in_w, normalize, one,
+from .element import (Element, _unitary_terms, eq, in_w, normalize, one,
                       parse_element, s, total_charge, u)
 from .errors import CapacityError, DomainError, ParseError
-from .monomial import Monomial, new_monomial
+from .monomial import Monomial
 from .words import Word, all_words, decode, lex_index, offset
 
 Perm = Tuple[int, ...]  # perm[i] = lex index of the image of the i-th word
@@ -51,13 +53,6 @@ def _check_listable(level: int) -> None:
 
 def identity_perm(size: int) -> Perm:
     return tuple(range(size))
-
-
-def perm_from_word_map(k: int, mapping: Dict[Word, Word]) -> Perm:
-    words = all_words(k)
-    if sorted(mapping) != words or sorted(mapping.values()) != words:
-        raise DomainError("word map is not a permutation of the length-k words")
-    return tuple(lex_index(mapping[w]) for w in words)
 
 
 def perm_to_cycles(perm: Perm) -> str:
@@ -193,13 +188,14 @@ def perm_unitary_from_element(e: Element, level: Optional[int] = None) -> PermUn
     spanned by the S_a S_b* with |a| = |b| = level."""
     if level is None:
         level = max((max(len(m.alpha), len(m.beta)) for m in e.terms), default=0)
-    f = normalize(e, level)
-    mapping = {}
-    for m, c in f.terms.items():
-        if c != 1 or m.k != 0 or len(m.alpha) != level or len(m.beta) != level:
-            raise DomainError("not a permutation unitary at this level")
-        mapping[m.beta] = m.alpha
-    return PermUnitary(level, perm_from_word_map(level, mapping))
+    terms = normalize(e, level).terms.items()  # each beta has level letters
+    perm = [-1] * (1 << level)
+    for (a, _k, b), _c in terms:
+        perm[lex_index(b)] = lex_index(a)
+    if len(terms) != len(perm) or sorted(perm) != list(range(len(perm))) \
+            or any(c != 1 or k or len(a) != level for (a, k, _b), c in terms):
+        raise DomainError("not a permutation unitary at this level")
+    return PermUnitary(level, tuple(perm))
 
 
 # extension checking ----------------------------------------------------------
@@ -238,20 +234,18 @@ def extend(pu: PermUnitary, u_tilde: Element) -> ExtendedEndo:
 
 # template menu ---------------------------------------------------------------
 
-def phi_pow_proj(h: int, i: int) -> Element:
-    """phi^h(P_i) = sum over length-h words a of P_{a i}."""
-    return Element({Monomial(a + (i,), 0, a + (i,)): 1 for a in all_words(h)})
-
-
 def mixed_template(k: int, h: int, variant: int) -> Element:
+    """phi^h(P_i) U^n + phi^h(P_j) U^-n, n = 2^(k-1), (i, j) = (1, 2) for
+    variant 1: the P_w U^(+-n) = S_w U^(+-n >> |w|) S_w* over w = a i, a j."""
     _check_listable(k)
     if not 0 <= h <= k - 2:
         raise DomainError(f"h must lie in 0..{k - 2}")
     if variant not in (1, 2):
         raise DomainError("variant must be 1 or 2")
-    n = 1 << (k - 1)
+    m = 1 << (k - 2 - h)  # n >> (h + 1)
     i, j = (1, 2) if variant == 1 else (2, 1)
-    return phi_pow_proj(h, i) * u(n) + phi_pow_proj(h, j) * u(-n)
+    return Element({Monomial(a + (c,), q, a + (c,)): 1
+                    for c, q in ((i, m), (j, -m)) for a in all_words(h)})
 
 
 # A label names a template at level k: U+ / U- for U^{±2^{k-1}}, M{v}:{h}
@@ -393,34 +387,29 @@ def make_u_sigma(k: int, h: int, variant: int,
         raise DomainError(f"need k >= 2 and 0 <= h <= k-2, got k={k}, h={h}")
     if variant not in (1, 2):
         raise DomainError("variant must be 1 or 2")
-    words = all_words(k - 2)
+    size, tail = 1 << (k - 2), 1 << (k - 2 - h)
+    sides = [identity_perm(size) if side is None else tuple(side)
+             for side in (side1, side2)]
+    if any(sorted(pi) != list(range(size)) for pi in sides):
+        raise DomainError(f"side is not a permutation of the length-{k - 2} words")
 
-    def cook(side):
-        if side is None:
-            return identity_perm(len(words))
-        pi = tuple(side)
-        if sorted(pi) != list(range(len(words))):
-            raise DomainError(
-                f"side is not a permutation of the length-{k - 2} words")
-        return pi
-
-    def at(w: Word, c: int) -> Word:
-        return w[:h] + (c,) + w[h:]
+    def at(y: int, c: int) -> int:  # word y with the letter c at position h+1
+        return (y - y % tail) * 2 + (c - 1) * tail + y % tail
 
     # side 1 rides the U^{+2^{k-1}} projection, side 2 the U^{-2^{k-1}} one;
     # the variant decides which letter at position h+1 each side carries.
     # On the + side the 2-prefixed block must land on words ending in 2
     # (so the shift completes them without a leftover U), on the - side
     # on words ending in 1; the 1-prefixed blocks take the flipped endings.
+    # The lex index of i w is (i-1) 2^(k-1) + j and of w i is 2j + i-1.
     c1, c2 = (1, 2) if variant == 1 else (2, 1)
-    mapping: Dict[Word, Word] = {}
-    for x, y1, y2 in zip(words, cook(side1), cook(side2)):
-        src1, src2 = at(words[y1], c1), at(words[y2], c2)
-        mapping[(2,) + src1] = at(x, c1) + (2,)
-        mapping[(1,) + src1] = at(x, c1) + (1,)
-        mapping[(2,) + src2] = at(x, c2) + (1,)
-        mapping[(1,) + src2] = at(x, c2) + (2,)
-    return PermUnitary(k, perm_from_word_map(k, mapping))
+    half = 2 * size
+    perm = [0] * (2 * half)
+    for x, (y1, y2) in enumerate(zip(*sides)):
+        src1, src2, x1, x2 = at(y1, c1), at(y2, c2), at(x, c1), at(x, c2)
+        perm[half + src1], perm[src1] = 2 * x1 + 1, 2 * x1
+        perm[half + src2], perm[src2] = 2 * x2, 2 * x2 + 1
+    return PermUnitary(k, tuple(perm))
 
 
 def enumerate_u_p(k: int, sign: int) -> Iterator[PermUnitary]:
@@ -513,13 +502,14 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
 
     brute mode is a complete classification (k <= 4): ext1 forces rho on the
     words 1y from rho on the words 2y, and a search over the 2-half prunes
-    every collision and every partial rho that already breaks ext2
-    (_extendible).  Both extension equations are then checked on each
-    survivor, as check_extension does, with the template checked to be in
-    W once.  constructive mode replays the closed-form family attached to
-    the template and raises a domain error for templates with no such
-    family.  jobs changes nothing, since the search is serial; it
-    stays only because the benchmark's sweep passes jobs=1.
+    every collision and every partial rho that already breaks ext2, both
+    read off the template's leaf map (_extendible).  Both extension
+    equations are then checked on each survivor, as check_extension does,
+    with the template checked to be in W once.  constructive mode replays
+    the closed-form family attached to the template and raises a domain
+    error for templates with no such family.  jobs changes nothing, since
+    the search is serial; it stays only because the benchmark's sweep
+    passes jobs=1.
     """
     if mode == "constructive":
         return constructive_family(k, template)
@@ -571,50 +561,80 @@ def template_members(k: int, text: str, mode: str = "brute") -> List[PermUnitary
     return enumerate_extendible(k, template_element(k, text), mode=mode)
 
 
+def _image(template: Element) -> Callable[[Word], Optional[Tuple[Word, int]]]:
+    """w -> (v, q) with Utilde S_w = S_v U^q, for Utilde the template (in W).
+
+    Each leaf S_a U^m S_b* of the reduced leaf map is keyed by (|b|, t(b)),
+    as Element.__mul__ keys words; for w = b c, v = a c' and q, t(c') =
+    divmod(t(c) + m, 2^|c|).  None when w is a proper prefix of some b: the
+    reduced map has merged every subtree that is one monomial."""
+    from .wgroup import _reduce  # the search and _inner_perm alone use it
+
+    terms = _reduce(sorted(_unitary_terms(template, "the image of U")))
+    leaves = {(len(b), offset(b)): (a, m) for a, m, b in terms}
+    lengths = sorted({n for n, _t in leaves})
+
+    def image(w: Word) -> Optional[Tuple[Word, int]]:
+        t = offset(w)
+        for n in lengths:
+            leaf = n <= len(w) and leaves.get((n, t & ((1 << n) - 1)))
+            if leaf:
+                q, t2 = divmod((t >> n) + leaf[1], 1 << (len(w) - n))
+                return leaf[0] + decode(len(w) - n, t2), q
+        return None
+
+    return image
+
+
 def _extendible(k: int, template: Element) -> Iterator[Perm]:
     """The level-k permutations that satisfy ext1 and ext2 (up to the
-    final check of enumerate_extendible); at level 0, unfiltered, the only
-    permutation there is.
+    final check of enumerate_extendible), both read off _image; at level 0,
+    unfiltered, the only permutation there is.
 
     With y over the length-(k-1) words, u S_i = sum_y S_rho(iy) S_y*, so
-    ext1 holds iff Utilde S_rho(2y) = S_rho(1y) for every y: rho on the
-    words 2y forces rho on the words 1y.  Right-multiplied by S_x, ext2
-    reads Utilde S_rho(1x) = u S_2 (Utilde S_x), and since the S_x S_x* sum
-    to 1, ext2 holds iff that holds for every x.  Expand Utilde S_x until
-    each alpha has k-1 letters or more; as u S_w = S_rho(w) for |w| = k,
-    u S_2 S_alpha = S_rho(2 alpha[:k-1]) S_alpha[k-1:], a substitution.  So
-    x's equation reads rho only on 2x and on the words 2 alpha[:k-1].  The
-    search places rho(2y) and rho(1y) for one y at a time, in lex order of
-    y, and decides each equation by eq as soon as the last word it reads is
-    placed, memoized on rho of the words 2z it reads.
+    ext1 holds iff Utilde S_rho(2y) = S_rho(1y) for every y: rho on 2y
+    forces rho on 1y.  Times S_x, ext2 reads Utilde S_rho(1x) = u S_2
+    (Utilde S_x) for each x, and times S_c, for each c of a partition grown
+    until Utilde S_xc = S_v U^q with |v| >= k-1: Utilde S_rho(1x)c =
+    S_rho(2 v[:k-1]) v[k-1:] U^q, as u S_w = S_rho(w) for |w| = k.  Two such
+    monomials are equal iff their words and charges are.  The search places
+    rho(2y) and rho(1y) for one y at a time, in lex order of y, and decides
+    x's equation once rho is placed on 2x and every 2 v[:k-1], memoized on
+    rho there.
     """
     if k == 0:
         yield (0,)
         return
     half = 1 << (k - 1)  # 1y has lex index j, 2y has half + j
     words = all_words(k)
-    images = [template * s(w) for w in words]  # Utilde S_b, left-hand sides
-    forced = _forced_images(k, images)
-    # checks[i]: the equations decided once y_i is placed, each as x's index
-    # j, the indices of the words 2z it reads, and the terms of Utilde S_x
-    # as (index of 2 alpha[:k-1], alpha[k-1:], charge, beta, coefficient)
+    image = _image(template)
+    forced = {a: lex_index(hit[0]) for a, hit in enumerate(map(image, words))
+              if hit and hit[1] == 0 and len(hit[0]) == k}  # Utilde S_a = S_b
+    # checks[i]: the equations decided once y_i is placed, as x's index j,
+    # the indices of the 2z read, and pieces (c, index of 2 v[:k-1], v[k-1:], q)
     checks: List[list] = [[] for _ in range(half)]
     for j, x in enumerate(all_words(k - 1)):
-        expanded = _expand(template * s(x), lambda a: len(a) < k - 1, side=0)
-        terms = [(half + lex_index(a[:k - 1]), a[k - 1:], m, b, c)
-                 for (a, m, b), c in expanded.items()]
-        reads = sorted({half + j}.union(z for z, *_rest in terms))
-        checks[reads[-1] - half].append((j, reads, terms, {}))
+        pieces, tails = [], [()]
+        while tails:
+            c = tails.pop()
+            hit = image(x + c)
+            if hit is None or len(hit[0]) < k - 1:
+                tails += [c + (2,), c + (1,)]
+            else:
+                v, q = hit
+                pieces.append((c, half + lex_index(v[:k - 1]), v[k - 1:], q))
+        reads = sorted({half + j}.union(z for _c, z, _v, _q in pieces))
+        checks[reads[-1] - half].append((j, reads, pieces, {}))
     perm = [0] * (2 * half)
     used = [False] * (2 * half)
 
-    def holds(j: int, reads: List[int], terms: list, memo: dict) -> bool:
+    def holds(j: int, reads: List[int], pieces: list, memo: dict) -> bool:
         key = tuple([perm[i] for i in reads])  # rho(1x) follows from rho(2x)
         verdict = memo.get(key)
         if verdict is None:
-            rhs = Element({new_monomial((words[perm[z]] + tail, m, b)): c
-                           for z, tail, m, b, c in terms})
-            verdict = memo[key] = eq(images[perm[j]], rhs)
+            lhs = words[perm[j]]
+            verdict = memo[key] = all(image(lhs + c) == (words[perm[z]] + v, q)
+                                      for c, z, v, q in pieces)
         return verdict
 
     def place(i: int) -> Iterator[Perm]:
@@ -631,27 +651,6 @@ def _extendible(k: int, template: Element) -> Iterator[Perm]:
                 used[a] = used[b] = False
 
     yield from place(0)
-
-
-def _forced_images(k: int, images: List[Element]) -> Dict[int, int]:
-    """{a: b} over lex indices of length-k words with Utilde S_a = S_b, from
-    images[a] = Utilde S_a.  A term of the refined form proposes b; a
-    refined form of one term is S_b only as the term (b, 0, ()) with
-    coefficient 1, and eq decides the others."""
-    forced = {}
-    for a, image in enumerate(images):
-        f = _refine(image)
-        m = next(iter(f), None)
-        if m is None or len(m.alpha) - len(m.beta) != k:
-            continue
-        b = m.alpha[:k]
-        if len(f) == 1:
-            hit = m.k == 0 and not m.beta and f[m] == 1
-        else:
-            hit = eq(image, s(b))
-        if hit:
-            forced[a] = lex_index(b)
-    return forced
 
 
 def _template_kind(k: int, template: Element):
@@ -684,36 +683,26 @@ def _template_kind(k: int, template: Element):
 
 def _inner_perm(k: int, template: Element, charge: int) -> Optional[Perm]:
     """The level-(k-1) permutation p with template = p U^charge p* for
-    charge +-1, read off the template's reduced form at depth k-1, or None
-    when that reading fails.
+    charge +-1, read off _image on the length-(k-1) words, or None.
 
-    With the odometer step w -> w+1 on the length-(k-1) words, U S_w =
-    S_(w+1) except at w = 1...1, where U S_w = S_(2...2) U.  So p U p* is
-    the sum of S_p(w+1) U^q S_p(w)*: its one charged term has alpha
-    p(2...2), and the term with beta p(w) has alpha p(w+1).  For U* the
-    walk starts at p(1...1) and steps w -> w-1.  The result is a candidate
-    for eq to confirm."""
-    # only here: the menu and the pure and mixed families need no wgroup
-    from .wgroup import from_element, reduce, to_element
-
-    try:
-        f = normalize(to_element(reduce(from_element(template))), k - 1)
-    except DomainError:  # deeper than k-1 letters even when reduced
+    With the odometer step w -> w+1 on the length-(k-1) words, p U p*
+    S_p(w) = S_p(w+1) U^q, with q = 1 only at the image S_p(2...2) U of
+    S_p(1...1).  For U* the walk starts at p(1...1) and steps w -> w-1.
+    The result is a candidate for eq to confirm."""
+    image = _image(template)
+    hits = {w: image(w) for w in all_words(k - 1)}
+    if any(hit is None or len(hit[0]) != k - 1 for hit in hits.values()):
         return None
-    by_beta = {b: a for a, _m, b in f.terms}
-    charged = [a for a, m, _b in f.terms if m]
+    charged = [v for v, q in hits.values() if q]
     if len(charged) != 1:
         return None
-    size = 1 << (k - 1)
+    size, word = 1 << (k - 1), charged[0]
     t = 0 if charge > 0 else size - 1  # the offset of 2...2, or of 1...1
-    image = charged[0]
     p = [0] * size
     for _ in range(size):
-        if image not in by_beta:
-            return None
-        p[lex_index(decode(k - 1, t))] = lex_index(image)
+        p[lex_index(decode(k - 1, t))] = lex_index(word)
         t = (t + charge) % size
-        image = by_beta[image]
+        word = hits[word][0]
     return tuple(p) if sorted(p) == list(range(size)) else None
 
 

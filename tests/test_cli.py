@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line driver (in-process main())."""
 
 import ast
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qu2.cli import main
 from qu2.element import element_str, eq, from_json, parse_element, u
@@ -175,6 +178,26 @@ def test_eval_errors(capsys):
     # a non-dyadic angle is a domain error
     code, _, err = run(capsys, "eval", "Uz[1/3]", "e_1")
     assert code == 1 and "dyadic" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "Uz[1/0]", "3"], ["eval", "Uz", "3", "--z", "1/0"],
+    ["eval", "Uz[abc]", "3"], ["eval", "Uz", "3", "--z", "abc"],
+    ["eval", "Uz", "3", "--z", ""], ["eval", "Uz[1e999999999]", "3"],
+    ["eval", "Uz", "3", "--z", "1" * 5000]])
+def test_eval_bad_angle_is_a_parse_error(capsys, argv):
+    # a zero denominator used to escape as a ZeroDivisionError traceback,
+    # and text Fraction refuses exited 1; an exponent is refused before
+    # its power is built
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert one_line_error(err) and "bad angle" in err
+
+
+def test_eval_angle_forms(capsys):
+    for argv in (["Uz[3/4]", "3"], ["Uz", "3", "--z", "0.75"],
+                 ["Uz[-1/4]", "3", "--z", " -1/4 "]):
+        assert run(capsys, "eval", *argv)[:2] == (0, "(1/4)*e_3\n")
 
 
 # ---------------------------------------------------------------- endomorphisms
@@ -745,3 +768,68 @@ def test_verify_counts_level3_json(capsys):
     by_label = {t["label"]: t["count"] for t in payload["templates"]}
     assert by_label == {"U+": 24, "U-": 24,
                        "M1:0": 4, "M2:0": 4, "M1:1": 4, "M2:1": 4}
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_CYCLES = st.one_of(
+    st.sampled_from(["id", "()", "(1 2)", "(1 3 4)", "(1 2)(3 4)", "(1 1)",
+                     "(1 9)", "(", "(a b)", "(0 1)", "(12)", ""]),
+    st.lists(st.integers(0, 9), min_size=2, max_size=4).map(
+        lambda idx: "(" + " ".join(map(str, idx)) + ")"))
+_ANGLES = st.one_of(
+    st.sampled_from(["1/4", "1/0", "abc", "0.5", "-3/8", "1/3", "", "1e3"]),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)))
+_LEVELS = st.integers(-1, 3).map(str)
+_TEMPLATES = st.sampled_from(["U+", "U-", "M1:0", "M2:1", "M1:5", "AD:(1 2)",
+                              "AD*:id", "AD:(1 9)", "U^4", "S[1]", "U^2 + U",
+                              "X"])
+
+
+@st.composite
+def _eval_argv(draw):
+    tokens = draw(st.lists(st.tuples(
+        st.sampled_from(["U", "Uz", "S1", "S2", "Q"]), st.booleans(),
+        st.one_of(st.none(), _ANGLES)), max_size=4))
+    word = " ".join(base + ("*" if star else "") +
+                    ("" if angle is None else f"[{angle}]")
+                    for base, star, angle in tokens)
+    argv = ["eval", word, draw(st.sampled_from(["3", "e_-2", "e_x", "0"]))]
+    if draw(st.booleans()):
+        argv += ["--z", draw(_ANGLES)]
+    return argv
+
+
+_ARGV = st.one_of(
+    _eval_argv(),
+    st.tuples(_CYCLES, _LEVELS, _TEMPLATES).map(
+        lambda a: ["check-ext", a[0], "--level", a[1], "--template", a[2]]),
+    st.tuples(_LEVELS, _TEMPLATES, st.sampled_from(["--perm", "--sigma1"]),
+              _CYCLES).map(
+        lambda a: ["construct", "--level", a[0], "--template", a[1], a[2],
+                   a[3]]),
+    st.tuples(_LEVELS, st.one_of(_TEMPLATES.map(lambda t: ["--template", t]),
+                                 st.just(["--all-templates"])),
+              st.sampled_from(["brute", "constructive"])).map(
+        lambda a: ["enumerate", "--level", a[0], *a[1], "--mode", a[2]]),
+    st.tuples(_CYCLES, _LEVELS, st.integers(-1, 5).map(str)).map(
+        lambda a: ["probe", a[0], "--level", a[1], "--depth", a[2]]),
+    st.tuples(st.sampled_from(["templates", "verify-counts"]), _LEVELS).map(
+        lambda a: [a[0], "--level", a[1]]))
+
+
+@settings(deadline=None, max_examples=300)
+@example(["eval", "Uz[1/0]", "3"])
+@example(["eval", "Uz", "3", "--z", "1/0"])
+@given(_ARGV)
+def test_fuzzed_argv_exits_cleanly(argv):
+    # every run ends in exit 0, 1 or 2 with no traceback, quickly
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with time_limit(10, " ".join(argv)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

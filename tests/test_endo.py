@@ -16,6 +16,7 @@ from qu2.element import (
     one,
     parse_element,
     phi,
+    proj,
     s,
     u,
 )
@@ -38,7 +39,6 @@ from qu2.endo import (
     make_u_sigma,
     mixed_template,
     parse_cycles,
-    perm_from_word_map,
     perm_to_cycles,
     perm_unitary,
     perm_unitary_from_cycles,
@@ -49,7 +49,8 @@ from qu2.endo import (
     template_members,
     u_templates_labeled,
 )
-from qu2.words import all_words
+from qu2.monomial import Monomial, expand_right
+from qu2.words import all_words, lex_index
 
 f = flip_flop()
 
@@ -84,8 +85,14 @@ def test_perm_unitary():
     assert perm_unitary_from_element(F.element).perm == F.perm
     with pytest.raises(DomainError):
         perm_unitary(2, (0, 0, 1, 2))
-    with pytest.raises(DomainError):
-        perm_unitary_from_element(u())
+    # not one coefficient-1 term S_a S_b* with |a| = level per beta b, even
+    # where the good terms alone would make a permutation
+    for text in ("U", "S[1] U S*[1] + S[2] S*[1] + S[1] S*[2]",
+                 "S[2] S*[1] + S[1] U S*[1] + S[1] S*[2]", "P[1]",
+                 "2*P[1] + P[2]", "S[11] S*[1] + S[2] S*[2]",
+                 "P[1] + S[1] S*[2] + P[2]"):
+        with pytest.raises(DomainError, match="not a permutation unitary"):
+            perm_unitary_from_element(parse_element(text))
 
 
 def test_check_extension_level2_cases():
@@ -283,6 +290,45 @@ def test_constructive_family_dispatch():
     assert len(fam) == 1 and check_extension(fam[0], inner)
 
 
+def deepen(e, steps):
+    """e with its lex-least term expanded, then the lex-least of the two
+    new terms, and so on: one word grows by a letter per step."""
+    terms = dict(e.terms)
+    m = min(terms)
+    for _ in range(steps):
+        c = terms.pop(m)
+        first, second = expand_right(m)
+        terms[first] = terms[second] = c
+        m = min(first, second)
+    return Element(terms)
+
+
+def test_constructive_family_of_a_re_expanded_inner_template():
+    # past depth k-1 the template's kind is read off its reduced leaf map;
+    # a 600-letter word used to be refused (and so no family was found)
+    for label in ("AD:(1 3 2)", "AD*:(1 4)"):
+        template = parse_template(3, label)[1]
+        family = constructive_family(3, template)
+        assert len(family) == 1
+        for deep in (normalize(template, 5), deepen(template, 600)):
+            assert constructive_family(3, deep) == family, label
+
+
+def test_constructive_family_of_a_deep_comb_template():
+    # a charge +-1 tree pair whose reduced form keeps a 600-letter word is
+    # no inner template at level 3: its words of length 2 are proper
+    # prefixes of leaves, so _inner_perm reads no permutation
+    comb = [(1,) * i + (2,) for i in range(600)] + [(1,) * 600]
+    betas = comb[:-2] + [comb[-1], comb[-2]]  # the last two leaves swapped
+    for charge in (1, -1):
+        charges = [charge] + [0] * 600
+        template = Element({Monomial(a, c, b): 1
+                            for a, c, b in zip(comb, charges, betas)})
+        assert endo_module._inner_perm(3, template, charge) is None
+        with pytest.raises(DomainError, match="no constructive family"):
+            constructive_family(3, template)
+
+
 def test_construct_verifies_every_kind():
     for label, options in (("U+", {}), ("U-", {"perm": "(1 3 4)"}),
                            ("M1:0", {"sigma1": "(1 2)"}),
@@ -442,6 +488,12 @@ def element_inner_phi(p, with_flip):
     return extend(pu, product_inner_image(p, with_flip))
 
 
+def perm_from_word_map(k, mapping):
+    words = all_words(k)
+    assert sorted(mapping) == words and sorted(mapping.values()) == words
+    return tuple(lex_index(mapping[w]) for w in words)
+
+
 def word_map_u_p(p, sign):
     p = tuple(p)
     km1 = len(p).bit_length() - 1
@@ -561,9 +613,93 @@ def test_make_u_p_matches_the_word_map():
             assert make_u_p(p, sign) == word_map_u_p(p, sign), (p, sign)
 
 
+def word_map_u_sigma(k, h, variant, side1, side2):
+    """make_u_sigma's member built as a map of words: with c the side's
+    letter at position h+1, side 1 maps 2 a' c b' to a c b 2 and
+    1 a' c b' to a c b 1, and side 2 swaps those endings."""
+    words = all_words(k - 2)
+
+    def at(w, c):
+        return w[:h] + (c,) + w[h:]
+
+    c1, c2 = (1, 2) if variant == 1 else (2, 1)
+    mapping = {}
+    for x, y1, y2 in zip(words, side1, side2):
+        src1, src2 = at(words[y1], c1), at(words[y2], c2)
+        mapping[(2,) + src1] = at(x, c1) + (2,)
+        mapping[(1,) + src1] = at(x, c1) + (1,)
+        mapping[(2,) + src2] = at(x, c2) + (1,)
+        mapping[(1,) + src2] = at(x, c2) + (2,)
+    return PermUnitary(k, perm_from_word_map(k, mapping))
+
+
+def test_make_u_sigma_matches_the_word_map():
+    rng = random.Random(12)
+    cases = 0
+    for k in (2, 3, 4, 5, 6):
+        size = 1 << (k - 2)
+        for h in range(k - 1):
+            for variant in (1, 2):
+                for _ in range(12):
+                    sides = [rng.sample(range(size), size) for _side in (1, 2)]
+                    assert make_u_sigma(k, h, variant, *sides) == \
+                        word_map_u_sigma(k, h, variant, *sides), (k, h, sides)
+                    cases += 1
+    assert cases == 360
+
+
+def test_mixed_template_matches_the_product():
+    # phi^h(P_i) U^n + phi^h(P_j) U^-n, with n = 2^(k-1), by Element products
+    for k in (2, 3, 4, 5, 6):
+        n = 1 << (k - 1)
+        for h in range(k - 1):
+            for variant in (1, 2):
+                i, j = (1, 2) if variant == 1 else (2, 1)
+                proj_i, proj_j = (sum((proj(a + (c,)) for a in all_words(h)),
+                                      Element()) for c in (i, j))
+                product = proj_i * u(n) + proj_j * u(-n)
+                # the same stored terms, so the same printed element
+                assert mixed_template(k, h, variant) == product, (k, h)
+
+
 def test_tuple_paths_build_no_element_products(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("an Element path ran")
+
+    # the brute search multiplies nothing: each survivor's re-check makes
+    # the three products of _extension_parts, and no other product is made
+    mixed, inner = mixed_template(3, 1, 2), parse_template(3, "AD:(1 3 2)")[1]
+    with monkeypatch.context() as patch:
+        products, in_recheck = [], [False]
+        multiply, recheck = Element.__mul__, endo_module._extension_parts
+
+        def counted(a, b):
+            products.append(in_recheck[0])
+            return multiply(a, b)
+
+        def marked(pu, u_tilde):
+            in_recheck[0] = True
+            try:
+                return recheck(pu, u_tilde)
+            finally:
+                in_recheck[0] = False
+
+        patch.setattr(Element, "__mul__", counted)
+        patch.setattr(endo_module, "_extension_parts", marked)
+        for template in (mixed, inner):
+            del products[:]
+            survivors = enumerate_extendible(3, template)
+            assert survivors and len(products) == 3 * len(survivors)
+            assert all(products)
+    # nor do the menu's builders and the inner permutation's reader
+    with monkeypatch.context() as patch:
+        patch.setattr(Element, "__mul__", refuse)
+        for name in ("eq", "normalize", "perm_unitary_from_element"):
+            patch.setattr(endo_module, name, refuse)
+        assert mixed_template(5, 2, 1) is not None
+        assert make_u_sigma(5, 2, 1, range(8), range(7, -1, -1)).level == 5
+        assert endo_module._inner_perm(3, inner, 1) == \
+            parse_cycles(4, "(1 3 2)")
 
     for name in ("__mul__", "adjoint"):
         monkeypatch.setattr(Element, name, refuse)

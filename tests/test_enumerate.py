@@ -2,11 +2,13 @@
 
 The brute mode searches only the permutations that ext1 allows, prunes
 those that break ext2 as it places them, and then verifies each survivor
-with the extension checker.  These tests hold it to the full sweep over all
-(2^k)! permutations (a reference loop kept here), to the search pruned by
-ext1 alone (another), to the level-3 output of every menu template recorded
-from the sweep in tests/golden/, and at level 4 to the constructive
-families.
+with the extension checker.  The search reads both equations off the
+template's leaf map (endo._image), which these tests hold to Element
+products and eq on every short word.  They hold the search to the full
+sweep over all (2^k)! permutations (a reference loop kept here), to the
+search pruned by ext1 alone with its forced map found by eq (another), to
+the level-3 output of every menu template recorded from the sweep in
+tests/golden/, and at level 4 to the constructive families.
 """
 
 import contextlib
@@ -18,9 +20,11 @@ from itertools import permutations
 import pytest
 
 from qu2 import endo
+from qu2.canrep import apply_basis
 from qu2.cli import main
-from qu2.element import (_refine, eq, flip_flop, is_unitary, normalize, one,
+from qu2.element import (Element, eq, flip_flop, is_unitary, normalize, one,
                          parse_element, proj, s, u, zero)
+from qu2.monomial import Monomial
 from qu2.endo import (
     PermUnitary,
     check_extension,
@@ -35,7 +39,7 @@ from qu2.endo import (
 )
 from qu2.errors import DomainError
 from qu2.wgroup import Diagram, to_element
-from qu2.words import all_words
+from qu2.words import all_words, decode
 
 from helpers import time_limit
 
@@ -168,15 +172,23 @@ def test_level3_menu_matches_recorded_sweep(extra, name):
 
 # the search pruned by ext2 ------------------------------------------------------
 
+def forced_by_eq(k, template):
+    """{a: b} over lex indices with eq(Utilde S_a, S_b), every length-k
+    word b tried: the forced map by Element products, with no shortcut."""
+    words = all_words(k)
+    return {a: b for a, w in enumerate(words)
+            for b, v in enumerate(words) if eq(template * s(w), s(v))}
+
+
 def ext1_candidates(k, template):
-    """The level-k permutations that satisfy ext1, as the search found them
-    before it checked ext2: rho(2y) over the forced images, rho(1y) forced,
+    """The level-k permutations that satisfy ext1, as the search finds them
+    before it checks ext2: rho(2y) over the forced images, rho(1y) forced,
     collisions pruned; at level 0 the only permutation there is."""
     if k == 0:
         yield (0,)
         return
     half = 1 << (k - 1)
-    forced = endo._forced_images(k, [template * s(w) for w in all_words(k)])
+    forced = forced_by_eq(k, template)
     perm = [0] * (2 * half)
     used = [False] * (2 * half)
 
@@ -214,30 +226,92 @@ def test_ext2_pruning_keeps_the_ext1_search_results():
     assert hits >= 70
 
 
-def forced_by_eq(k, images):
-    """{a: b} over lex indices with eq(images[a], S_b), every length-k word
-    b tried: the forced map with no shortcut."""
-    return {a: b for a, image in enumerate(images)
-            for b, w in enumerate(all_words(k)) if eq(image, s(w))}
+def image_by_action(x):
+    """(v, q) with x = S_v U^q, or None when x is no such monomial, for an
+    isometry x that maps each e_n to one e_g(n).  S_v U^q sends e_n to
+    e_(2^|v| (n + q) + t(v)), so g(0) and g(1) name the one candidate, and
+    eq decides it."""
+    ((_c, g0),), ((_c, g1),) = apply_basis(x, 0), apply_basis(x, 1)
+    slope = g1 - g0
+    if slope < 1 or slope & (slope - 1):
+        return None
+    length = slope.bit_length() - 1
+    q, t = divmod(g0, slope)
+    v = decode(length, t)
+    return (v, q) if eq(x, Element({Monomial(v, q, ()): 1})) else None
+
+
+def image_cases():
+    """(k, template) pairs in W: the level-2 and level-3 menus, seeded
+    random templates (products p U^j q, which are stored unreduced, and
+    random diagrams with |alpha| != |beta|), menu entries re-expanded, and
+    a template with a zero that cancels only when split."""
+    hidden_zero = one() - sum((proj(v) for v in all_words(4)), zero())
+    cases = [(k, t) for k in (2, 3) for _label, t in u_templates_labeled(k)]
+    assert len(cases) == 62
+    cases += [(k, t) for k in (2, 3) for t in random_templates(k, 40, seed=9)]
+    cases += [(3, normalize(t, 5)) for _label, t in u_templates_labeled(3)[:14]]
+    cases += [(3, hidden_zero + u(4)), (3, hidden_zero + u(-4))]
+    return cases
+
+
+def test_image_matches_the_element_product_on_every_short_word():
+    shapes = {"none": 0, "charged": 0, "longer": 0, "shorter": 0}
+    for k, template in image_cases():
+        image = endo._image(template)
+        for n in range(k + 3):
+            for w in all_words(n):
+                hit = image(w)
+                assert hit == image_by_action(template * s(w)), (template, w)
+                if hit is None:
+                    shapes["none"] += 1
+                else:
+                    shapes["charged"] += hit[1] != 0
+                    shapes["longer" if len(hit[0]) > n else "shorter"] += \
+                        len(hit[0]) != n
+    # each shape of answer is met
+    assert min(shapes.values()) > 0, shapes
+
+
+def test_image_refuses_a_template_outside_w():
+    for template in (u(4).scale(2), -u(-4), parse_element("U^4 + U")):
+        with pytest.raises(DomainError, match="W"):
+            endo._image(template)
+
+
+def test_ext2_pruning_keeps_the_ext1_search_results():
+    cases = [(k, t) for k in (2, 3) for _label, t in u_templates_labeled(k)]
+    assert len(cases) == 62
+    cases += [(2, t) for t in random_templates(2, 40, seed=1)]
+    cases += [(3, t) for t in random_templates(3, 60, seed=2)]
+    cases += [(0, u(1)), (1, u(-1))]
+    hits = 0
+    for k, template in cases:
+        expected = ext1_search(k, template)
+        assert found(k, template) == expected
+        hits += bool(expected)
+    assert hits >= 70
 
 
 def test_forced_images_match_eq_on_every_word():
+    # ext1 reads Utilde S_a = S_b off the lookup, as (b, 0); here against
+    # eq on every pair of length-k words
     hidden_zero = one() - sum((proj(v) for v in all_words(4)), zero())
     cases = [(k, t) for k in (2, 3) for _label, t in u_templates_labeled(k)]
     cases += [(3, t) for t in random_templates(3, 60, seed=2)]
-    # a zero that cancels only when split, and one-term images whose
-    # coefficient is not 1
-    cases += [(3, hidden_zero + u(4)), (3, u(4).scale(2)), (3, -u(-4))]
-    one_term = {True: 0, False: 0}
+    # a zero that cancels only when split
+    cases += [(3, hidden_zero + u(4)), (3, hidden_zero + u(-4))]
+    sizes = set()
     for k, template in cases:
-        images = [template * s(w) for w in all_words(k)]
-        forced = endo._forced_images(k, images)
-        assert forced == forced_by_eq(k, images), template
-        for a, image in enumerate(images):
-            if len(_refine(image)) == 1:
-                one_term[a in forced] += 1
-    # the one-term shape is met both forced and refused
-    assert min(one_term.values()) > 0
+        image = endo._image(template)
+        words = all_words(k)
+        looked_up = {a: b for a, w in enumerate(words)
+                     for b, v in enumerate(words) if image(w) == (v, 0)}
+        forced = forced_by_eq(k, template)
+        assert looked_up == forced, template
+        sizes.add(len(forced))
+    # empty, partial and full forced maps are all met
+    assert {0, 8} <= sizes and len(sizes) > 2, sizes
 
 
 def test_only_ext2_survivors_reach_the_extension_checker(monkeypatch):
