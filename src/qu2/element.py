@@ -13,13 +13,15 @@ only while its beta is a proper prefix of some beta present in the elements
 at hand.  The betas left are prefix-free, and over a prefix-free set of
 betas distinct triples (alpha, k, beta) are distinct affine maps on the
 residue classes of their betas in l^2(Z), hence linearly independent; so
-an element is zero iff its refined form has no term.  eq reads the refined
-form of e1 - e2 one leaf of the beta trie at a time and stops at the first
-leaf whose terms do not cancel.  Expanding a refined form further never
-merges two terms, so unitarity, membership, total charge, the Putnam form,
-the bd * v factorization and diagrams read it too, and a 64-letter beta
-costs its length, not 2^64 terms.  The uniform-depth form (normalize) is
-only for a caller that asks for a depth.
+an element is zero iff its refined form has no term.  eq first sums the
+refined terms of e1 - e2 at a longest beta, a leaf, and answers false if
+they do not cancel; otherwise it reads the refined form one leaf of the
+beta trie at a time, depth first, and stops at the first leaf whose terms
+do not cancel (the witness of eq --explain).  Expanding a refined form
+further never merges two terms, so unitarity, membership, total charge,
+the Putnam form, the bd * v factorization and diagrams read it too, and a
+64-letter beta costs its length, not 2^64 terms.  The uniform-depth form
+(normalize) is only for a caller that asks for a depth.
 
 `Element.__eq__` is structural: it compares the stored terms.  Operator
 equality is `eq`, which holds across depths (`eq(u(), normalize(u(), 3))`
@@ -47,6 +49,9 @@ from .words import (_TABLE, _TABLE_LEN, Word, carets, decode, is_partition,
 Coeff = object  # int | Fraction, kept exact throughout
 
 _denominator = attrgetter("denominator")
+
+# true iff every type of the iterable is exactly int
+_ints = {int}.issuperset
 
 # normalize refuses to write more terms than this (2^16: every beta of an
 # element brought 16 letters deeper)
@@ -274,24 +279,14 @@ def _refine(e: Element) -> Dict[Monomial, Coeff]:
     return _expand(e, carets({m.beta for m in e.terms}).__contains__)
 
 
-def _first_difference(e1: Element,
-                      e2: Element) -> Optional[Tuple[Monomial, Coeff]]:
-    """The first nonzero term of the refined form of e1 - e2, as (monomial,
-    coefficient), or None when e1 and e2 are the same operator.
-
-    The terms of the difference, as int numerators over one denominator,
-    sit at the nodes of the trie of their beta words.  The walk goes down
-    the carets depth first, letter 1 before letter 2, and at each caret
-    splits every pending term into its two children (expand_right's parity
-    rule).  A node that is no caret is a leaf of the refinement: its
-    pending terms all have its beta, so they are the refined terms there.
-    The first leaf whose sums by (alpha, k) are not all zero answers with
-    its least such (alpha, k); nothing after that leaf is expanded.
-    """
+def _beta_groups(e1: Element, e2: Element) -> Tuple[Dict[Word, list], int]:
+    """The terms of e1 - e2 grouped by beta, as rows (alpha, k, n) of int
+    numerators n over one denominator d; returns (groups, d)."""
     t1, t2 = e1.terms, e2.terms
-    # int coefficients are their own numerators over 1
+    # int coefficients are their own numerators over 1; any other one (a
+    # Fraction or a subclass of it) needs the lcm of the denominators
     d = 1
-    if Fraction in map(type, chain(t1.values(), t2.values())):
+    if not _ints(map(type, chain(t1.values(), t2.values()))):
         d = lcm(*map(_denominator, t1.values()),
                 *map(_denominator, t2.values()))
     by_beta: Dict[Word, list] = {}
@@ -304,6 +299,53 @@ def _first_difference(e1: Element,
                 by_beta[b] = [(a, k, n)]
             else:
                 row.append((a, k, n))
+    return by_beta, d
+
+
+def _leaf_cancels(by_beta: Dict[Word, list], leaf: Word) -> bool:
+    """True iff the refined terms of the groups at leaf cancel, for a leaf
+    that no beta of the groups extends (a longest one, say).
+
+    A term S_a U^k S_p* whose p is a prefix of leaf = p c reaches the leaf
+    as one monomial, S_a U^k S_c S_leaf* = S_{a c'} U^q S_leaf* with
+    t(c) + k = 2^|c| q + t(c'): the child that expand_right's parity rule
+    picks letter by letter, found as the product finds it, by one carry and
+    one mask.  So the check costs |leaf| + 1 lookups and one sum per term
+    above the leaf.
+    """
+    sums: Dict[Tuple[Word, int], int] = {}
+    size, t_leaf = len(leaf), offset(leaf)
+    get = by_beta.get
+    for i in range(size + 1):
+        rows = get(leaf[:i])
+        if rows is None:
+            continue
+        n, t_c = size - i, t_leaf >> i
+        mask = (1 << n) - 1
+        for a, k, c in rows:
+            v = t_c + k
+            t = v & mask
+            key = (a + (_TABLE[n][t] if n <= _TABLE_LEN else decode(n, t)),
+                   v >> n)
+            sums[key] = sums.get(key, 0) + c
+    return not any(sums.values())
+
+
+def _first_leaf(by_beta: Dict[Word, list],
+                d: int) -> Optional[Tuple[Monomial, Coeff]]:
+    """The first nonzero refined term of the groups (_beta_groups) in
+    depth-first order, as (monomial, coefficient), or None.
+
+    The groups sit at the nodes of the trie of their beta words.  The walk
+    goes down the carets depth first, letter 1 before letter 2, and at each
+    caret splits every pending term into its two children (expand_right's
+    parity rule), appending them to the groups below it.  A node that is no
+    caret is a leaf of the refinement: its pending terms all have its beta,
+    so they are the refined terms there.  The first leaf whose sums by
+    (alpha, k) are not all zero answers with its least such (alpha, k);
+    nothing after that leaf is expanded.
+    """
+    get = by_beta.get
     inner = carets(by_beta)
     stack = [((), get((), ()), () in inner)]
     pop, push = stack.pop, stack.append
@@ -355,13 +397,25 @@ def _first_difference(e1: Element,
     return None
 
 
+def _first_difference(e1: Element,
+                      e2: Element) -> Optional[Tuple[Monomial, Coeff]]:
+    """The first nonzero term of the refined form of e1 - e2 in depth-first
+    order, or None when e1 and e2 are the same operator."""
+    return _first_leaf(*_beta_groups(e1, e2))
+
+
 def eq(e1: Element, e2: Element) -> bool:
     """Operator equality: the refined form of e1 - e2 has no term.  Equal
-    stored terms answer at once; otherwise _first_difference walks the
-    beta trie of the difference and stops at its first nonzero leaf."""
+    stored terms answer at once.  Otherwise the terms of the difference
+    are grouped once; a longest beta is a leaf of the refinement, and if
+    its terms do not cancel the answer is false, with no carets built.
+    Only when they cancel does the depth-first walk (_first_leaf) decide."""
     if e1.terms == e2.terms:
         return True
-    return _first_difference(e1, e2) is None
+    by_beta, d = _beta_groups(e1, e2)
+    if not _leaf_cancels(by_beta, max(by_beta, key=len)):
+        return False
+    return _first_leaf(by_beta, d) is None
 
 
 def phi(e: Element) -> Element:

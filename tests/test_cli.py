@@ -55,6 +55,23 @@ def test_eq_explain_names_the_witness(capsys, cycles, variant):
     assert from_json(json.dumps([payload["witness"]])).terms == {m: c}
 
 
+@pytest.mark.parametrize("left, right, witness, row", [
+    ("P[1] + 2*P[22]", "P[22]", "P[1]",
+     {"alpha": "1", "beta": "1", "coeff": "1", "k": 0}),
+    ("S[2] U S*[1] + P[21]", "1/2*P[21]", "S[2] U S*[1]",
+     {"alpha": "2", "beta": "1", "coeff": "1", "k": 1}),
+    ("S[1] U^3 S*[1] + 1/2*S[2] S*[221]", "S[2] S*[221]", "S[1] U^3 S*[1]",
+     {"alpha": "1", "beta": "1", "coeff": "1", "k": 3}),
+])
+def test_eq_explain_names_the_first_leaf(capsys, left, right, witness, row):
+    # the two sides differ at a longest beta too, but the witness is the
+    # first differing leaf in depth-first order (letter 1 first)
+    code, out, _ = run(capsys, "eq", left, right, "--explain")
+    assert (code, out) == (0, f"false\nwitness: {witness}\n")
+    code, out, _ = run(capsys, "eq", left, right, "--explain", "--json")
+    assert json.loads(out) == {"eq": False, "witness": row}
+
+
 def test_eq_explain_on_equal_elements(capsys):
     code, out, _ = run(capsys, "eq", "U", "S[1] S*[2] + S[2] U S*[1]",
                        "--explain")
@@ -800,8 +817,31 @@ def _eval_argv(draw):
     return argv
 
 
+# element text: 1 to 4 terms, each an optional sign and small p/q, then up
+# to 3 factors with words of up to 6 letters and charges in [-8, 8]
+_ELEMENT_WORDS = st.text("12", max_size=6).map(lambda w: w or "e")
+_ELEMENT_FACTORS = st.one_of(
+    st.builds("{}[{}]".format, st.sampled_from(["S", "S*", "P"]),
+              _ELEMENT_WORDS),
+    st.integers(-8, 8).map("U^{}".format),
+    st.sampled_from(["U", "U*", "1"]))
+_ELEMENT_TERMS = st.tuples(
+    st.sampled_from(["", "-"]),
+    st.one_of(st.just(""), st.builds("{}/{}*".format, st.integers(0, 9),
+                                     st.integers(0, 4))),
+    st.lists(_ELEMENT_FACTORS, min_size=1, max_size=3))
+_ELEMENTS = st.lists(_ELEMENT_TERMS, min_size=1, max_size=4).map(
+    lambda terms: " + ".join(sign + coeff + " ".join(factors)
+                             for sign, coeff, factors in terms))
+_ELEMENT_ARGV = st.one_of(
+    st.tuples(_ELEMENTS, _ELEMENTS).map(lambda a: ["eq", *a]),
+    st.tuples(_ELEMENTS, _ELEMENTS).map(lambda a: ["eq", *a, "--explain"]),
+    st.tuples(_ELEMENTS, _ELEMENTS).map(lambda a: ["mul", *a]),
+    _ELEMENTS.map(lambda e: ["unitary", e]))
+
 _ARGV = st.one_of(
     _eval_argv(),
+    _ELEMENT_ARGV,
     st.tuples(_CYCLES, _LEVELS, _TEMPLATES).map(
         lambda a: ["check-ext", a[0], "--level", a[1], "--template", a[2]]),
     st.tuples(_LEVELS, _TEMPLATES, st.sampled_from(["--perm", "--sigma1"]),

@@ -12,8 +12,10 @@ from qu2.canrep import DecoratedPermutative, apply_basis, semantic_eq
 from qu2.errors import CapacityError, DomainError, ParseError
 from qu2.element import (
     Element,
+    _beta_groups,
     _expand,
     _first_difference,
+    _leaf_cancels,
     _refine,
     _translates_terms,
     _unitary_terms,
@@ -1126,3 +1128,116 @@ def test_eq_stops_at_the_first_nonzero_leaf():
         assert eq(p1 + shared, p1 + refined)
     assert _first_difference(p1 + shared, p1 + Element(near)) == \
         (last, Fraction(-1, 3))
+
+
+# -- eq sums the refined terms at a longest beta before it walks ------------
+
+def _off_longest_paths(rng, e1, e2):
+    """A term whose beta is no prefix of any longest beta of e1 and e2 (at
+    most that long), or None when every beta is empty."""
+    betas = {m.beta for e in (e1, e2) for m in e.terms}
+    size = max(map(len, betas))
+    longest = [b for b in betas if len(b) == size]
+    for _ in range(100):
+        n = rng.randint(1, size) if size else 0
+        beta = tuple(rng.choice((1, 2)) for _ in range(n))
+        if n and not any(b[:n] == beta for b in longest):
+            alpha = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 3)))
+            return Element.mono(Monomial(alpha, rng.randint(-8, 8), beta),
+                                rng.choice((1, -2, Fraction(1, 3))))
+    return None
+
+
+def _walk_decides_pair(rng, kind):
+    """(a, b): a and an unevenly re-expanded copy of it that differ only by
+    one term off the path of every longest beta, so the refined terms at a
+    longest beta cancel and the walk has to find the leaf that does not.
+    kind "tied" adds a shared term beside a longest beta, "deep" a term
+    along a 64-letter beta, and "empty" moves everything to one side."""
+    for _ in range(100):
+        a = _int_coefficients(rng, _random_element(rng, max_terms=8))
+        if kind == "deep":
+            w = _deep_word(64)
+            a = a + Element.mono(Monomial(w[:rng.randint(0, 3)],
+                                          rng.randint(-8, 8), w),
+                                 rng.choice((1, Fraction(-1, 2))))
+        b = _int_coefficients(rng, _expand_some(rng, a))
+        if kind == "tied" and b.terms:
+            size = max(a.depth(), b.depth())
+            shared = Element.mono(Monomial(
+                (), rng.randint(-8, 8),
+                tuple(rng.choice((1, 2)) for _ in range(size))),
+                rng.choice((1, 3, Fraction(-2, 5))))
+            a, b = a + shared, b + shared
+        extra = _off_longest_paths(rng, a, b) if a.terms or b.terms else None
+        if extra is None:
+            continue
+        b = b + extra
+        if kind == "empty":
+            a, b = (a - b, zero()) if rng.random() < 0.5 else (zero(), b - a)
+        by_beta, _d = _beta_groups(a, b)
+        if by_beta and _leaf_cancels(by_beta, max(by_beta, key=len)):
+            return a, b
+    raise AssertionError(f"no {kind} pair whose longest leaf cancels")
+
+
+def test_eq_walks_when_the_longest_leaf_cancels():
+    rng = random.Random(25)
+    seen = {"tied": 0, "empty": 0, "deep": 0, "int": 0, "Fraction": 0}
+    for i in range(400):
+        kind = ("tied", "empty", "deep", "plain")[i % 4]
+        a, b = _walk_decides_pair(rng, kind)
+        assert not check_eq(a, b), (a, b)
+        assert _first_difference(a, b) is not None
+        assert not semantic_eq(a, b), (a, b)
+        betas = [m.beta for e in (a, b) for m in e.terms]
+        size = max(map(len, betas))
+        seen["tied"] += len({w for w in betas if len(w) == size}) > 1
+        seen["empty"] += not (a.terms and b.terms)
+        seen["deep"] += size >= 64
+        coefficients = [type(c) for e in (a, b) for c in e.terms.values()]
+        seen["int"] += int in coefficients
+        seen["Fraction"] += Fraction in coefficients
+    assert min(seen.values()) >= 90, seen
+
+
+def test_eq_answers_at_the_longest_leaf_without_carets(monkeypatch):
+    rng = random.Random(26)
+    pairs = [(parse_element("P[1] + 2*P[22]"), parse_element("P[22]"))]
+    for _ in range(400):
+        a, b = _random_pair(rng)
+        by_beta, _d = _beta_groups(a, b)
+        if by_beta and not _leaf_cancels(by_beta, max(by_beta, key=len)):
+            pairs.append((a, b))
+    assert len(pairs) > 150
+
+    def refused(ws):
+        raise AssertionError("carets called")
+
+    monkeypatch.setattr(qu2.element, "carets", refused)
+    for a, b in pairs:
+        assert not eq(a, b), (a, b)
+    with pytest.raises(AssertionError, match="carets called"):
+        _first_difference(*pairs[0])
+
+
+class _Frac(Fraction):
+    """A coefficient that is a Fraction without being exactly one."""
+
+
+def test_eq_reads_fraction_subclass_coefficients():
+    half = Element({Monomial((), 1, ()): _Frac(1, 2)})
+    p1, p11, p12 = (Monomial(w, 0, w) for w in ((1,), (1, 1), (1, 2)))
+    cases = [
+        (half, zero(), False),
+        (half, u().scale(Fraction(1, 2)), True),
+        (Element({p1: _Frac(1, 3), Monomial((2,), 0, (2,)): _Frac(1, 3)}),
+         one().scale(Fraction(1, 3)), True),
+        (Element({p1: _Frac(2, 3)}),
+         Element({p11: _Frac(2, 3), p12: Fraction(1, 3)}), False),
+    ]
+    for a, b, verdict in cases:
+        assert check_eq(a, b) == semantic_eq(a, b) == verdict, (a, b)
+    assert _first_difference(half, zero()) == (Monomial((), 1, ()),
+                                                Fraction(1, 2))
+    assert _first_difference(*cases[3][:2]) == (p12, Fraction(1, 3))
