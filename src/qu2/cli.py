@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 from .errors import CapacityError, DomainError, ParseError
 from .element import (
     Element,
+    _RATIONAL,
     _first_difference,
     element_str,
     is_unitary,
@@ -67,15 +68,13 @@ def _parse_diagram_arg(text: str) -> Diagram:
 
 _BASIS = re.compile(r"^(?:e_?)?(-?\d+)$")
 _EVAL_TOKEN = re.compile(r"^(Uz|U|S1|S2)(\*?)(?:\[([^\]]+)\])?$")
-# an integer, p/q or a decimal: no exponent, whose power Fraction would build
-_ANGLE = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d*\.\d+)\s*")
 
 
 def _angle(text: str) -> Fraction:
     """The angle of --z or of Uz[...]; no match (TypeError), q = 0 and
     digits over the int-conversion limit are parse errors."""
     try:
-        return Fraction(_ANGLE.fullmatch(text)[0])
+        return Fraction(_RATIONAL.fullmatch(text)[0])
     except (TypeError, ValueError, ZeroDivisionError):
         raise ParseError(f"bad angle {text!r}; want a/2^n") from None
 

@@ -2,11 +2,15 @@
 
 An Element is a collected map Monomial -> nonzero coefficient (int or
 Fraction).  All arithmetic is exact.  A product scales each operand's
-coefficients to int numerators over the lcm of its denominators, sums int
-products per output term, and divides each distinct sum by the product of
-the two denominators once, at the end.  So an integral coefficient may come
-back as an int or as a Fraction; the two compare and hash equal, and every
-printer goes through Fraction.
+coefficients to int numerators over the lcm of its denominators and sums
+int products per output term.  When the two denominators multiply to 1 it
+returns a plain Element of int coefficients.  Otherwise it returns its int
+numerators over that one denominator d, with `terms` unset (_Product): the
+first read of `terms` makes each distinct numerator n the Fraction n/d,
+once, and turns the product into a plain Element.  Another product, eq,
+element_str and to_json read an unread product's numerators and build no
+Fraction.  So an integral coefficient may come back as an int or as a
+Fraction; the two compare and hash equal.
 
 Structural code reads the refined form: a term is expanded (expand_right)
 only while its beta is a proper prefix of some beta present in the elements
@@ -35,8 +39,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -63,9 +66,10 @@ _MAX_TERMS = 1 << 16
 # powers of U)
 _MAX_TERM_PAIRS = 1 << 24
 
-# a product's output coefficients become Fractions through this cache of the
-# last 1,024 (numerator, denominator) pairs asked for: building a Fraction
-# costs about 0.8 us, and small rationals recur from product to product
+# a product's coefficients become Fractions, when its terms are first read,
+# through this cache of the last 1,024 (numerator, denominator) pairs asked
+# for: building a Fraction costs about 0.8 us, and small rationals recur
+# from product to product
 _fraction = lru_cache(maxsize=1 << 10)(Fraction)
 
 
@@ -82,15 +86,20 @@ def _add_terms(acc: Dict[Monomial, Coeff],
     return acc
 
 
-def _coeff_str(c) -> str:
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _coeff_str(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _term_order(item: Tuple[Monomial, Coeff]) -> Tuple[Word, Word, int]:
+    (a, k, b), _c = item
+    return a, b, k
 
 
 class Element:
     """A finite sum  sum_i c_i * S_{alpha_i} U^{k_i} S_{beta_i}*."""
 
-    __slots__ = ("terms",)
+    # _num is set only on an unread product (_Product)
+    __slots__ = ("terms", "_num")
 
     def __init__(self, terms: Optional[Dict[Monomial, Coeff]] = None):
         self.terms: Dict[Monomial, Coeff] = terms if terms is not None else {}
@@ -120,7 +129,7 @@ class Element:
         return max((len(m.beta) for m in self.terms), default=0)
 
     def sorted_terms(self) -> List[Tuple[Monomial, Coeff]]:
-        return sorted(self.terms.items(), key=lambda it: (it[0].alpha, it[0].beta, it[0].k))
+        return sorted(self.terms.items(), key=_term_order)
 
     # arithmetic ----------------------------------------------------------
 
@@ -134,9 +143,11 @@ class Element:
         return self + (-other)
 
     def __mul__(self, other: "Element") -> "Element":
-        if len(self.terms) * len(other.terms) > _MAX_TERM_PAIRS:
+        f1, d1, s1 = _over(self)
+        f2, d2, s2 = _over(other)
+        if len(f1) * len(f2) > _MAX_TERM_PAIRS:
             raise CapacityError(
-                f"a product of {len(self.terms)} by {len(other.terms)} terms "
+                f"a product of {len(f1)} by {len(f2)} terms "
                 f"has over 2^24 term pairs")
         # words as (|w|, t(w)): b1 is a prefix of a2 iff |b1| <= |a2| and
         # the low |b1| bits of t(a2) are t(b1), and the suffix past it has
@@ -147,16 +158,13 @@ class Element:
         # straight from the word table (its offset is in range by
         # construction; past the table, decode) and builds its term in C
         # (new_monomial).  Coefficients as int numerators over one
-        # denominator per operand: a pair costs an int product, and each
-        # distinct sum becomes a Fraction once (_fraction).
-        d1 = lcm(*map(_denominator, self.terms.values()))
-        d2 = lcm(*map(_denominator, other.terms.values()))
+        # denominator per operand (_over): a pair costs an int product.
         right = [(len(a2), offset(a2), k2, b2,
-                  c2.numerator * (d2 // c2.denominator))
-                 for (a2, k2, b2), c2 in other.terms.items()]
+                  c2.numerator * (s2 // c2.denominator))
+                 for (a2, k2, b2), c2 in f2.items()]
         acc: Dict[Monomial, int] = {}
-        for (a1, k1, b1), c1 in self.terms.items():
-            c1 = c1.numerator * (d1 // c1.denominator)
+        for (a1, k1, b1), c1 in f1.items():
+            c1 = c1.numerator * (s1 // c1.denominator)
             n1, t1 = len(b1), offset(b1)
             low1 = (1 << n1) - 1
             for n2, t2, k2, b2, c2 in right:
@@ -186,10 +194,7 @@ class Element:
                 else:
                     acc.pop(m, None)
         d = d1 * d2
-        if d != 1:
-            fracs = {n: _fraction(n, d) for n in set(acc.values())}
-            acc = {m: fracs[n] for m, n in acc.items()}
-        return Element(acc)
+        return _Product(acc, d) if d != 1 and acc else Element(acc)
 
     def scale(self, c: Coeff) -> "Element":
         if not c:
@@ -201,6 +206,64 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({element_str(self)!r})"
+
+
+class _Product(Element):
+    """A nonzero product whose denominator d = d1 * d2 is not 1, held as its
+    int numerator map over d, with `terms` unset.  The first read of
+    `terms` builds it by an eager product's rule (the Fraction n/d of each
+    numerator n, in the same order, through _fraction), drops the
+    numerators and makes the object a plain Element, so it never holds
+    both.  The product's operand setup, eq, element_str and to_json read
+    the numerators (_over, _stored, _sorted_rows) and build no Fraction."""
+
+    __slots__ = ()
+
+    def __init__(self, num: Dict[Monomial, int], d: int):
+        self._num = num, d
+
+    def __getattr__(self, name: str):
+        if name != "terms":
+            raise AttributeError(name)
+        num, d = self._num
+        fracs = {n: _fraction(n, d) for n in set(num.values())}
+        self.terms = terms = {m: fracs[n] for m, n in num.items()}
+        del self._num
+        self.__class__ = Element
+        return terms
+
+    def __reduce__(self):
+        # copy and pickle the numerators; the default reads every slot,
+        # and reading `terms` would build them
+        return _Product, self._num
+
+
+def _over(e: Element) -> Tuple[Dict[Monomial, Coeff], int, int]:
+    """e's coefficients over one denominator d, as (map, d, s): the
+    coefficient c of a term of map stands for c.numerator * (s //
+    c.denominator) / d.  Any element but an unread product gives its
+    terms, with s = d the lcm of their denominators (1 when all are ints).
+    An unread product gives its int numerators, with s = 1, over the same
+    d: both are first divided by their gcd, once (the product keeps them
+    so), which a product of its own never needs to do."""
+    if type(e) is _Product:
+        num, d = e._num
+        g = gcd(d, *num.values())
+        if g != 1:
+            num, d = e._num = {m: n // g for m, n in num.items()}, d // g
+        return num, d, 1
+    f = e.terms
+    if _ints(map(type, f.values())):
+        return f, 1, 1
+    d = lcm(*map(_denominator, f.values()))
+    return f, d, d
+
+
+def _stored(e: Element):
+    """What e holds: (numerators, denominator) for an unread product, else
+    its terms.  Equal results mean equal terms, since such a pair never
+    equals a term map."""
+    return e._num if type(e) is _Product else e.terms
 
 
 # named constructors ------------------------------------------------------
@@ -282,16 +345,12 @@ def _refine(e: Element) -> Dict[Monomial, Coeff]:
 def _beta_groups(e1: Element, e2: Element) -> Tuple[Dict[Word, list], int]:
     """The terms of e1 - e2 grouped by beta, as rows (alpha, k, n) of int
     numerators n over one denominator d; returns (groups, d)."""
-    t1, t2 = e1.terms, e2.terms
-    # int coefficients are their own numerators over 1; any other one (a
-    # Fraction or a subclass of it) needs the lcm of the denominators
-    d = 1
-    if not _ints(map(type, chain(t1.values(), t2.values()))):
-        d = lcm(*map(_denominator, t1.values()),
-                *map(_denominator, t2.values()))
+    f1, d1, s1 = _over(e1)
+    f2, d2, s2 = _over(e2)
+    d = d1 if d1 == d2 else lcm(d1, d2)
     by_beta: Dict[Word, list] = {}
     get = by_beta.get
-    for terms, scale in ((t1, d), (t2, -d)):
+    for terms, scale in ((f1, s1 * (d // d1)), (f2, -s2 * (d // d2))):
         for (a, k, b), c in terms.items():
             n = c.numerator * (scale // c.denominator)
             row = get(b)
@@ -331,10 +390,10 @@ def _leaf_cancels(by_beta: Dict[Word, list], leaf: Word) -> bool:
     return not any(sums.values())
 
 
-def _first_leaf(by_beta: Dict[Word, list],
-                d: int) -> Optional[Tuple[Monomial, Coeff]]:
+def _first_leaf(
+        by_beta: Dict[Word, list]) -> Optional[Tuple[Word, int, Word, int]]:
     """The first nonzero refined term of the groups (_beta_groups) in
-    depth-first order, as (monomial, coefficient), or None.
+    depth-first order, as (alpha, k, beta, numerator), or None.
 
     The groups sit at the nodes of the trie of their beta words.  The walk
     goes down the carets depth first, letter 1 before letter 2, and at each
@@ -393,7 +452,7 @@ def _first_leaf(by_beta: Dict[Word, list],
             a, k = min(nonzero)
             n = sums[a, k]
         if n:
-            return new_monomial((a, k, w)), n if d == 1 else Fraction(n, d)
+            return a, k, w, n
     return None
 
 
@@ -401,7 +460,12 @@ def _first_difference(e1: Element,
                       e2: Element) -> Optional[Tuple[Monomial, Coeff]]:
     """The first nonzero term of the refined form of e1 - e2 in depth-first
     order, or None when e1 and e2 are the same operator."""
-    return _first_leaf(*_beta_groups(e1, e2))
+    by_beta, d = _beta_groups(e1, e2)
+    first = _first_leaf(by_beta)
+    if first is None:
+        return None
+    a, k, w, n = first
+    return new_monomial((a, k, w)), n if d == 1 else Fraction(n, d)
 
 
 def eq(e1: Element, e2: Element) -> bool:
@@ -410,12 +474,12 @@ def eq(e1: Element, e2: Element) -> bool:
     are grouped once; a longest beta is a leaf of the refinement, and if
     its terms do not cancel the answer is false, with no carets built.
     Only when they cancel does the depth-first walk (_first_leaf) decide."""
-    if e1.terms == e2.terms:
+    if _stored(e1) == _stored(e2):
         return True
-    by_beta, d = _beta_groups(e1, e2)
+    by_beta, _d = _beta_groups(e1, e2)
     if not _leaf_cancels(by_beta, max(by_beta, key=len)):
         return False
-    return _first_leaf(by_beta, d) is None
+    return _first_leaf(by_beta) is None
 
 
 def phi(e: Element) -> Element:
@@ -556,21 +620,33 @@ def bd_v_factor(e: Element) -> Tuple[Element, Element]:
 
 # text format --------------------------------------------------------------
 
+def _sorted_rows(e: Element) -> List[Tuple[Monomial, int, int]]:
+    """e's terms in sorted_terms order as (monomial, n, d), the coefficient
+    n/d in lowest terms.  An unread product gives them from its numerators
+    and builds no Fraction."""
+    if type(e) is not _Product:
+        return [(m, c.numerator, c.denominator) for m, c in e.sorted_terms()]
+    num, d = e._num
+    rows = []
+    for m, n in sorted(num.items(), key=_term_order):
+        g = gcd(n, d)
+        rows.append((m, n // g, d // g))
+    return rows
+
+
 def element_str(e: Element) -> str:
-    if not e.terms:
-        return "0"
     parts = []
-    for m, c in e.sorted_terms():
+    for m, n, d in _sorted_rows(e):
         body = mono_str(m)
-        if c == 1:
+        if d == 1 and n == 1:
             parts.append(body)
-        elif c == -1:
+        elif d == 1 and n == -1:
             parts.append(f"-1*{body}" if body != "1" else "-1")
         elif body == "1":
-            parts.append(_coeff_str(c))
+            parts.append(_coeff_str(n, d))
         else:
-            parts.append(f"{_coeff_str(c)}*{body}")
-    return " + ".join(parts)
+            parts.append(f"{_coeff_str(n, d)}*{body}")
+    return " + ".join(parts) or "0"
 
 
 _TOKEN = re.compile(r"(?P<factor>(?:S\*?|P)\[(?:[12]*|e)\]|U(?:\^-?\d+|\*)?)"
@@ -660,23 +736,76 @@ def parse_element(text: str) -> Element:
 # JSON format ---------------------------------------------------------------
 
 def to_json(e: Element) -> str:
-    rows = [{"coeff": _coeff_str(c), "alpha": word_str(m.alpha) if m.alpha else "",
+    rows = [{"coeff": _coeff_str(n, d), "alpha": word_str(m.alpha) if m.alpha else "",
              "k": m.k, "beta": word_str(m.beta) if m.beta else ""}
-            for m, c in e.sorted_terms()]
+            for m, n, d in _sorted_rows(e)]
     return json.dumps(rows, separators=(", ", ": "))
 
 
+# a rational in text: an integer, p/q or a decimal, with no exponent, whose
+# power Fraction would build
+_RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d*\.\d+)\s*")
+
+
+# how an error message names a JSON value that is not a number: by its
+# kind, since its text may be long or deeply nested
+_JSON_KINDS = {str: "a string", list: "an array", tuple: "an array",
+               dict: "an object", type(None): "null"}
+
+
+def _json_name(x) -> str:
+    if type(x) in (int, float, bool):
+        return json.dumps(x)
+    return _JSON_KINDS.get(type(x), type(x).__name__)
+
+
+def _json_int(x, what: str) -> int:
+    """x when it is a JSON integer; true, false, 1.5 and 1.0 are not, and
+    are a ParseError naming `what`."""
+    if type(x) is not int:
+        raise ParseError(f"{what} must be a JSON integer, not {_json_name(x)}")
+    return x
+
+
+def _json_coeff(x) -> Fraction:
+    """A row's coefficient: a JSON integer, or a string holding an integer,
+    p/q or a decimal."""
+    if type(x) is int:
+        return Fraction(x)
+    if type(x) is not str:
+        raise ParseError("a coefficient must be a JSON integer or a string "
+                         f"p/q, not {_json_name(x)}")
+    try:
+        return Fraction(_RATIONAL.fullmatch(x)[0])
+    except (TypeError, ValueError, ZeroDivisionError):  # no match, q = 0,
+        # or digits over the int-conversion limit
+        raise ParseError(f"bad coefficient {x[:32]!r}" + (
+            f" ({len(x)} characters)" if len(x) > 32 else "")) from None
+
+
+def _json_word(x) -> Word:
+    if type(x) is not str:
+        raise ParseError("alpha and beta must be strings of letters 1 and 2")
+    return parse_word(x)
+
+
 def from_json(text: str) -> Element:
+    """The element of to_json's rows {"coeff", "alpha", "k", "beta"}; a
+    missing coefficient is 1, a missing word empty and a missing k 0."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", exc.pos)
+    except (ValueError, RecursionError) as exc:  # a huge int, deep nesting
+        raise ParseError(f"bad JSON: {exc}")
     if not isinstance(rows, list):
         raise ParseError("element JSON must be an array")
     pairs = []
     for row in rows:
-        coeff = Fraction(row.get("coeff", "1"))
-        m = Monomial(parse_word(row.get("alpha", "")), int(row.get("k", 0)),
-                     parse_word(row.get("beta", "")))
-        pairs.append((coeff, m))
+        if not isinstance(row, dict):
+            raise ParseError("each row of element JSON must be an object")
+        m = Monomial(_json_word(row.get("alpha", "")),
+                     _json_int(row.get("k", 0), "k"),
+                     _json_word(row.get("beta", "")))
+        pairs.append((_json_coeff(row.get("coeff", "1")), m))
     return Element.from_terms(pairs)

@@ -24,7 +24,7 @@ import json
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
-from .element import Element, _unitary_terms
+from .element import Element, _json_int, _json_name, _unitary_terms
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import new_monomial
 from .words import Word, decode, is_partition, offset
@@ -86,13 +86,15 @@ def tree_from_words(words) -> Tree:
 
 
 def tree_from_obj(obj, depth: int = 0) -> Tree:
-    if obj == 0:
+    """The tree of diagram JSON: the integer 0 for a leaf (not false or
+    0.0), a pair [left, right] for an interior node."""
+    if type(obj) is int and obj == 0:
         return LEAF
     if depth == _MAX_TREE_DEPTH:
         raise ParseError(f"tree nested deeper than {_MAX_TREE_DEPTH} levels")
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         return (tree_from_obj(obj[0], depth + 1), tree_from_obj(obj[1], depth + 1))
-    raise ParseError(f"bad tree node {obj!r}")
+    raise ParseError(f"bad tree node {_json_name(obj)}; want 0 or a pair")
 
 
 class Diagram:
@@ -283,6 +285,17 @@ def diagram_to_json(d: Diagram) -> str:
                       separators=(", ", ": "))
 
 
+def _json_ints(obj, key: str) -> Tuple[int, ...]:
+    """Diagram JSON's tau or v: an array of JSON integers or of strings
+    that int() reads."""
+    row = obj[key]
+    if type(row) is not list:
+        raise ParseError(f"bad diagram JSON: {key!r} must be an array")
+    return tuple(int(x) if type(x) is str else
+                 _json_int(x, f"bad diagram JSON: each entry of {key!r}")
+                 for x in row)
+
+
 def diagram_from_json(text: str) -> Diagram:
     try:
         obj = json.loads(text)
@@ -290,10 +303,11 @@ def diagram_from_json(text: str) -> Diagram:
         raise ParseError(f"bad JSON: {exc.msg}", exc.pos)
     except RecursionError:
         raise ParseError("bad JSON: nested too deep")
+    except ValueError as exc:  # an integer past the int-conversion limit
+        raise ParseError(f"bad JSON: {exc}")
     try:
         t_plus, t_minus = tree_from_obj(obj["tplus"]), tree_from_obj(obj["tminus"])
-        tau = tuple(int(x) for x in obj["tau"])
-        v = tuple(int(x) for x in obj["v"])
+        tau, v = _json_ints(obj, "tau"), _json_ints(obj, "v")
     except ParseError:
         raise
     except KeyError as exc:

@@ -581,6 +581,20 @@ def test_reduce_bad_json_exit_codes(capsys):
     assert code == 1 and one_line_error(err) and "permutation" in err
 
 
+@pytest.mark.parametrize("verb", ["reduce", "charge", "render"])
+@pytest.mark.parametrize("text", [
+    '{"tplus":0,"tminus":0,"tau":[0],"v":[1.5]}',
+    '{"tplus":0,"tminus":0,"tau":[0],"v":[true]}',
+    '{"tplus":0,"tminus":0,"tau":[0.9],"v":[0]}',
+    '{"tplus":false,"tminus":0,"tau":[0],"v":[0]}',
+])
+def test_diagram_json_non_integers_are_parse_errors(capsys, verb, text):
+    # once read as v = 1, v = 1, tau = 0 and a leaf, with exit 0
+    code, out, err = run(capsys, verb, text)
+    assert (code, out) == (2, "") and one_line_error(err)
+    assert "parse error" in err and ("JSON integer" in err or "tree node" in err)
+
+
 def test_diagram_json_missing_field_is_named(capsys):
     assert run(capsys, "render", '{"tplus": 0}') == (
         2, "", "qu2: parse error: bad diagram JSON: missing field 'tminus'\n")
@@ -839,9 +853,56 @@ _ELEMENT_ARGV = st.one_of(
     st.tuples(_ELEMENTS, _ELEMENTS).map(lambda a: ["mul", *a]),
     _ELEMENTS.map(lambda e: ["unitary", e]))
 
+# diagram JSON: two trees of 1 to 4 leaves, tau and v.  A clean draw has the
+# integer 0 at every leaf and ints in v and tau (a permutation, or not); any
+# other draws its leaves from 0, false, 0.0 and nested pairs, and its
+# entries from every JSON type and from strings
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 3), st.floats(), st.booleans(), st.none(),
+    st.integers(-3, 3).map(str), st.sampled_from(["a", "", "1.5", "1e3"]))
+
+
+@st.composite
+def _json_tree(draw, leaves, leaf):
+    if leaves == 1:
+        return draw(leaf)
+    left = draw(st.integers(1, leaves - 1))
+    return [draw(_json_tree(left, leaf)), draw(_json_tree(leaves - left, leaf))]
+
+
+@st.composite
+def _diagram_argv(draw):
+    n = draw(st.integers(1, 4))
+    clean = draw(st.booleans())
+    leaf = st.just(0) if clean else st.sampled_from([0, False, 0.0, [0, 0]])
+    entry = st.integers(-3, 3) if clean else _JSON_VALUES
+    tau = list(draw(st.permutations(range(n))))
+    if draw(st.booleans()):
+        tau = [draw(st.one_of(st.just(t), entry)) for t in tau]
+    obj = {"tplus": draw(_json_tree(n, leaf)),
+           "tminus": draw(_json_tree(n, leaf)),
+           "tau": tau, "v": [draw(entry) for _ in range(n)]}
+    return [draw(st.sampled_from(["reduce", "charge", "render"])),
+            json.dumps(obj)]
+
+
+def _integral_diagram(text):
+    """True iff diagram JSON has the integer 0 at every leaf, and in tau and
+    v JSON integers or strings."""
+    obj = json.loads(text)
+
+    def tree(t):
+        return (type(t) is int and t == 0) or (
+            type(t) is list and len(t) == 2 and all(map(tree, t)))
+
+    return tree(obj["tplus"]) and tree(obj["tminus"]) and all(
+        type(x) in (int, str) for x in obj["tau"] + obj["v"])
+
+
 _ARGV = st.one_of(
     _eval_argv(),
     _ELEMENT_ARGV,
+    _diagram_argv(),
     st.tuples(_CYCLES, _LEVELS, _TEMPLATES).map(
         lambda a: ["check-ext", a[0], "--level", a[1], "--template", a[2]]),
     st.tuples(_LEVELS, _TEMPLATES, st.sampled_from(["--perm", "--sigma1"]),
@@ -861,6 +922,9 @@ _ARGV = st.one_of(
 @settings(deadline=None, max_examples=300)
 @example(["eval", "Uz[1/0]", "3"])
 @example(["eval", "Uz", "3", "--z", "1/0"])
+@example(["reduce", '{"tplus": 0, "tminus": 0, "tau": [0], "v": [1.5]}'])
+@example(["charge", '{"tplus": false, "tminus": 0, "tau": [0], "v": [0]}'])
+@example(["render", '{"tplus": 0, "tminus": 0, "tau": [true], "v": [0]}'])
 @given(_ARGV)
 def test_fuzzed_argv_exits_cleanly(argv):
     # every run ends in exit 0, 1 or 2 with no traceback, quickly
@@ -873,3 +937,6 @@ def test_fuzzed_argv_exits_cleanly(argv):
                 code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+    if code == 0 and argv[0] in ("reduce", "charge", "render"):
+        # a diagram is read only from integers
+        assert _integral_diagram(argv[1]), argv

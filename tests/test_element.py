@@ -1,8 +1,11 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +193,19 @@ def test_built_terms_are_monomials(operands):
         assert (m.alpha, m.k, m.beta) == tuple(m)
 
 
+def count_fractions(monkeypatch):
+    """The argument tuples of every Fraction built from here on."""
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
 def test_mul_fraction_budget(monkeypatch):
     # the product's pair loop works on ints: an integral product builds no
     # Fraction, a fractional one at most one per distinct coefficient
@@ -201,34 +217,23 @@ def test_mul_fraction_budget(monkeypatch):
                    (frac, frac.adjoint())]:
         assert len(e1.terms) * len(e2.terms) >= 8000
         cases.append((e1, e2, len(set((e1 * e2).terms.values()))))
-    built = []
-    new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    built = count_fractions(monkeypatch)
     for e1, e2, budget in cases:
         built.clear()
-        e1 * e2
+        (e1 * e2).terms
         assert len(built) <= budget
 
 
 def test_mul_reuses_recent_fractions(monkeypatch):
     # recent output coefficients are cached: the same small product again
-    # builds no Fraction, and its coefficients are still equal Fractions
+    # builds no Fraction when its terms are read, and its coefficients are
+    # still equal Fractions
     e = parse_element("1/2*U + 1/3*P[1] - 3/5*S[2] U S*[21]")
     first = e * e.adjoint()
-    built = []
-    new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    first.terms
+    built = count_fractions(monkeypatch)
     again = e * e.adjoint()
+    again.terms
     assert not built
     assert list(again.terms.items()) == list(first.terms.items())
     assert all(type(c) is Fraction for c in again.terms.values())
@@ -275,6 +280,136 @@ def test_mul_on_re_expanded_operands():
             else:
                 distinct += 1
     assert shared and distinct
+
+
+def eager_product(e1, e2):
+    """e1 * e2's term map as a product built it when it made its Fractions
+    at once: mono_mul over the term pairs in pair order, summed as int
+    numerators over d = d1 * d2 (each operand's lcm of denominators), then
+    each distinct sum made the Fraction n/d once, unless d is 1."""
+    d1 = lcm(*(c.denominator for c in e1.terms.values()))
+    d2 = lcm(*(c.denominator for c in e2.terms.values()))
+    acc = {}
+    for m1, c1 in e1.terms.items():
+        n1 = c1.numerator * (d1 // c1.denominator)
+        for m2, c2 in e2.terms.items():
+            m = mono_mul(m1, m2)
+            if m is not None:
+                new = acc.get(m, 0) + n1 * c2.numerator * (d2 // c2.denominator)
+                if new:
+                    acc[m] = new
+                else:
+                    acc.pop(m, None)
+    d = d1 * d2
+    if d != 1:
+        fracs = {n: Fraction(n, d) for n in set(acc.values())}
+        acc = {m: fracs[n] for m, n in acc.items()}
+    return acc
+
+
+def typed_items(terms):
+    """A term map's items in order, each with its coefficient's type."""
+    return [(m, c, type(c)) for m, c in terms.items()]
+
+
+def unread(e):
+    """True iff e is a product whose terms have not been built."""
+    return type(e) is qu2.element._Product
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands(), st.sampled_from(("once", "left", "right")))
+def test_filled_product_terms_match_the_eager_product(operands, chain):
+    # order, values and types, also when an unread product is an operand
+    e1, e2 = operands
+    p, ref = e1 * e2, eager_product(e1, e2)
+    if chain == "left":
+        p, ref = p * e2, eager_product(Element(ref), e2)
+    elif chain == "right":
+        p, ref = e1 * p, eager_product(e1, Element(ref))
+    assert typed_items(p.terms) == typed_items(ref)
+    assert type(p) is Element
+
+
+def test_filled_product_terms_match_the_eager_product_on_random_pairs():
+    rng = random.Random(28)
+    fractional = 0
+    for _ in range(300):
+        a, b = _random_element(rng), _random_element(rng)
+        if rng.random() < 0.3:
+            b = Element({m: c.numerator for m, c in b.terms.items()})
+        p, q = a * b, b * a
+        fractional += unread(p)
+        chained = p * q
+        assert typed_items(p.terms) == typed_items(eager_product(a, b))
+        assert typed_items(chained.terms) == typed_items(
+            eager_product(Element(eager_product(a, b)),
+                          Element(eager_product(b, a))))
+    assert fractional > 150
+
+
+LAZY_A = "1/2*U + 1/3*P[1] - 3/5*S[2] U S*[21] + S[12] U^-3 S*[1]"
+LAZY_B = "2/7*S[1] U^3 + 1/11*P[2] - S*[12] + 5/6*S[21] U S*[2]"
+
+
+def test_fractional_product_builds_no_fraction_until_read(monkeypatch):
+    a, b = parse_element(LAZY_A), parse_element(LAZY_B)
+    ref = eager_product(a, b)
+    assert type(u() * u(2)) is Element  # an integral product is built at once
+    qu2.element._fraction.cache_clear()
+    built = count_fractions(monkeypatch)
+    p = a * b
+    assert unread(p) and not built
+    terms = p.terms
+    assert built and type(p) is Element
+    built.clear()
+    assert p.terms is terms and not built
+    monkeypatch.undo()
+    assert typed_items(terms) == typed_items(ref)
+
+
+def test_product_readers_build_no_fraction(monkeypatch):
+    # eq, *, element_str and to_json read an unread product's numerators
+    a, b = parse_element(LAZY_A), parse_element(LAZY_B)
+    deeper = normalize(a, 4)  # the operator a, other terms
+    p_ref = Element(eager_product(a, b))
+    # a term off p's longest beta: the walk finds the difference
+    longest = max(_beta_groups(p_ref, zero())[0], key=len)
+    off = p_ref + Element({Monomial((), 0, (3 - longest[0],)): Fraction(1, 3)})
+    assert _leaf_cancels(_beta_groups(p_ref, off)[0], longest)
+
+    def read(p, p_again, q, p_deeper, chain, chain_again):
+        return [eq(p, p), eq(p, p_again), eq(p, p_deeper), eq(p, q),
+                eq(p, zero()), eq(p, off), eq(chain, chain_again),
+                element_str(p), to_json(q), element_str(chain),
+                to_json(chain), repr(p), element_str(zero() * p)]
+
+    expected = read(p_ref, p_ref, Element(eager_product(b, a)),
+                    Element(eager_product(deeper, b)),
+                    Element(eager_product(p_ref, b)),
+                    Element(eager_product(a, Element(eager_product(b, b)))))
+    assert expected[:6] == [True, True, True, False, False, False]
+    p, p_deeper = a * b, deeper * b
+    assert p._num != p_deeper._num  # eq(p, p_deeper) walks the trie
+    built = count_fractions(monkeypatch)
+    operands = [p, a * b, b * a, p_deeper, p * b, a * (b * b)]
+    got = read(*operands)
+    assert not built
+    assert all(map(unread, operands))
+    monkeypatch.undo()
+    assert got == expected
+    assert typed_items(operands[4].terms) == \
+        typed_items(eager_product(p_ref, b))
+
+
+def test_unread_product_copies_and_pickles_its_numerators():
+    a, b = parse_element(LAZY_A), parse_element(LAZY_B)
+    p, ref = a * b, eager_product(a, b)
+    copies = [copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))]
+    assert unread(p) and all(map(unread, copies))
+    for c in copies:
+        assert typed_items(c.terms) == typed_items(ref)
+    assert unread(p)
 
 
 @given(elements, st.integers(1, 3), st.lists(indices, min_size=3, max_size=5))
@@ -744,6 +879,45 @@ def test_text_round_trip_keeps_terms_and_coefficient_types(e):
 @given(elements)
 def test_json_round_trip(e):
     assert from_json(to_json(e)) == e
+
+
+def test_json_round_trip_of_an_unread_product():
+    a, b = parse_element(LAZY_A), parse_element(LAZY_B)
+    p = a * b
+    assert from_json(to_json(p)) == Element(eager_product(a, b))
+    assert unread(p)
+
+
+def test_from_json_reads_ints_and_rational_strings():
+    e = from_json('[{"coeff": -2, "alpha": "12", "k": -3, "beta": ""}, '
+                  '{"coeff": " 3/4 "}, {"coeff": "0.25", "beta": "2"}, {}]')
+    assert element_str(e) == "7/4 + 1/4*S*[2] + -2*S[12] U^-3"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[{"k": 1.5}]', "k must be a JSON integer, not 1.5"),
+    ('[{"k": 2.0}]', "k must be a JSON integer, not 2.0"),
+    ('[{"k": true}]', "k must be a JSON integer, not true"),
+    ('[{"k": "a"}]', "k must be a JSON integer, not a string"),
+    ('[{"k": null}]', "k must be a JSON integer, not null"),
+    ('[1]', "each row of element JSON must be an object"),
+    ('[[{"k": 1}]]', "each row of element JSON must be an object"),
+    ('[{"alpha": 12}]', "alpha and beta must be strings"),
+    ('[{"beta": ["1"]}]', "alpha and beta must be strings"),
+    ('[{"alpha": "13"}]', "bad letter '3'"),
+    ('[{"coeff": "x"}]', "bad coefficient 'x'"),
+    ('[{"coeff": "1/0"}]', "bad coefficient '1/0'"),
+    ('[{"coeff": "1e999999999"}]', "bad coefficient '1e999999999'"),
+    ('[{"coeff": 0.5}]', "not 0.5"),
+    ('[{"coeff": false}]', "not false"),
+    ('{"coeff": "1"}', "element JSON must be an array"),
+    ('[{"k": ' + "9" * 5000 + '}]', "bad JSON"),
+])
+def test_from_json_refuses_what_is_not_integral_or_rational(text, message):
+    # no truncation (1.5 read as 1) and no raw error
+    with pytest.raises(ParseError) as exc:
+        from_json(text)
+    assert message in str(exc.value)
 
 
 def test_deterministic_output():

@@ -406,6 +406,37 @@ def test_round_trips(d):
     assert diagram_from_json(diagram_to_json(d)) == d
 
 
+def test_diagram_json_reads_integers_and_numeric_strings():
+    d = diagram_from_json('{"tplus": [0, 0], "tminus": [0, 0], '
+                          '"tau": ["1", 0], "v": [-2, " 3 "]}')
+    assert (d.tau, d.v) == ((1, 0), (-2, 3))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("v", [1.5], "each entry of 'v' must be a JSON integer, not 1.5"),
+    ("v", [1.0], "each entry of 'v' must be a JSON integer, not 1.0"),
+    ("v", [True], "each entry of 'v' must be a JSON integer, not true"),
+    ("v", [None], "each entry of 'v' must be a JSON integer, not null"),
+    ("v", [[0]], "each entry of 'v' must be a JSON integer, not an array"),
+    ("tau", [0.9], "each entry of 'tau' must be a JSON integer, not 0.9"),
+    ("tau", [False], "each entry of 'tau' must be a JSON integer, not false"),
+    ("tau", ["a"], "invalid literal"),
+    ("tau", 0, "'tau' must be an array"),
+    ("tau", "0", "'tau' must be an array"),
+    ("tplus", False, "bad tree node false"),
+    ("tminus", 0.0, "bad tree node 0.0"),
+    ("tplus", [0, True], "bad tree node true"),
+    ("tplus", [0], "bad tree node an array"),
+])
+def test_diagram_json_refuses_numbers_that_are_not_integers(field, value,
+                                                             message):
+    # no truncation (1.5 read as 1, 0.9 as 0, false as a leaf)
+    obj = {"tplus": 0, "tminus": 0, "tau": [0], "v": [0], field: value}
+    with pytest.raises(ParseError) as exc:
+        diagram_from_json(json.dumps(obj))
+    assert message in str(exc.value)
+
+
 def test_json_format():
     assert diagram_to_json(identity_diagram()) == \
         '{"tplus": 0, "tminus": 0, "tau": [0], "v": [0]}'
