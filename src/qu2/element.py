@@ -1,15 +1,13 @@
 """Finite rational combinations of monomials, with exact normal forms.
 
-An Element is a collected map Monomial -> nonzero coefficient (int or
-Fraction).  All arithmetic is exact.  A product scales each operand's
-coefficients to int numerators over the lcm of its denominators and sums
-int products per output term.  When the two denominators multiply to 1 it
-returns a plain Element of int coefficients.  Otherwise it returns its int
-numerators over that one denominator d, with `terms` unset (_Product): the
-first read of `terms` makes each distinct numerator n the Fraction n/d,
-once, and turns the product into a plain Element.  Another product, eq,
-element_str and to_json read an unread product's numerators and build no
-Fraction.  So an integral coefficient may come back as an int or as a
+An Element is a collected map Monomial -> nonzero coefficient, held as int
+numerators over one denominator d (1 for an integral element and for the
+empty map); all arithmetic is exact.  `terms` is the coefficient map.  An
+Element built from a map keeps that map as `terms`; one made from
+numerators (a product, -e, adjoint, phi, normalize) builds it on its first
+read when d is not 1, each distinct numerator n becoming the Fraction n/d
+once.  Products, eq, element_str and to_json read the numerators and build
+no Fraction.  An integral coefficient may come back as an int or as a
 Fraction; the two compare and hash equal.
 
 Structural code reads the refined form: a term is expanded (expand_right)
@@ -40,7 +38,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import CapacityError, DomainError, ParseError
@@ -50,8 +47,6 @@ from .words import (_TABLE, _TABLE_LEN, Word, carets, decode, is_partition,
                     offset, parse_word, word_str)
 
 Coeff = object  # int | Fraction, kept exact throughout
-
-_denominator = attrgetter("denominator")
 
 # true iff every type of the iterable is exactly int
 _ints = {int}.issuperset
@@ -66,7 +61,7 @@ _MAX_TERMS = 1 << 16
 # powers of U)
 _MAX_TERM_PAIRS = 1 << 24
 
-# a product's coefficients become Fractions, when its terms are first read,
+# numerators over d != 1 become Fractions, when `terms` is first read,
 # through this cache of the last 1,024 (numerator, denominator) pairs asked
 # for: building a Fraction costs about 0.8 us, and small rationals recur
 # from product to product
@@ -96,13 +91,29 @@ def _term_order(item: Tuple[Monomial, Coeff]) -> Tuple[Word, Word, int]:
 
 
 class Element:
-    """A finite sum  sum_i c_i * S_{alpha_i} U^{k_i} S_{beta_i}*."""
+    """A finite sum  sum_i c_i * S_{alpha_i} U^{k_i} S_{beta_i}*, held as
+    int numerators _num over one denominator _d.  _terms caches the
+    coefficient map `terms`, None until its first read."""
 
-    # _num is set only on an unread product (_Product)
-    __slots__ = ("terms", "_num")
+    __slots__ = ("_num", "_d", "_terms")
 
     def __init__(self, terms: Optional[Dict[Monomial, Coeff]] = None):
-        self.terms: Dict[Monomial, Coeff] = terms if terms is not None else {}
+        terms = {} if terms is None else terms
+        num, d = terms, 1
+        if not _ints(map(type, terms.values())):
+            # over the lcm of the denominators the numerators have gcd 1
+            d = lcm(*(c.denominator for c in terms.values()))
+            num = {m: c.numerator * (d // c.denominator)
+                   for m, c in terms.items()}
+        self._num, self._d, self._terms = num, d, terms
+
+    @property
+    def terms(self) -> Dict[Monomial, Coeff]:
+        if self._terms is None:
+            d = self._d
+            fracs = {n: _fraction(n, d) for n in set(self._num.values())}
+            self._terms = {m: fracs[n] for m, n in self._num.items()}
+        return self._terms
 
     @classmethod
     def from_terms(cls, pairs: Iterable[Tuple[Coeff, Monomial]]) -> "Element":
@@ -113,20 +124,21 @@ class Element:
         return cls({m: c}) if c else cls()
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         # structural: same stored terms at the same depth (use eq() for
-        # operator equality across depths)
+        # operator equality across depths); numerators over d in lowest
+        # terms are equal iff the coefficients are
         if not isinstance(other, Element):
             return NotImplemented
-        return self.terms == other.terms
+        return _over(self) == _over(other)
 
     __hash__ = None
 
     def depth(self) -> int:
         """Canonical depth: the longest beta word among stored terms."""
-        return max((len(m.beta) for m in self.terms), default=0)
+        return max((len(m.beta) for m in self._num), default=0)
 
     def sorted_terms(self) -> List[Tuple[Monomial, Coeff]]:
         return sorted(self.terms.items(), key=_term_order)
@@ -137,14 +149,14 @@ class Element:
         return Element(_add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Element":
-        return Element({m: -c for m, c in self.terms.items()})
+        return _element({m: -n for m, n in self._num.items()}, self._d)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __mul__(self, other: "Element") -> "Element":
-        f1, d1, s1 = _over(self)
-        f2, d2, s2 = _over(other)
+        f1, d1 = _over(self)
+        f2, d2 = _over(other)
         if len(f1) * len(f2) > _MAX_TERM_PAIRS:
             raise CapacityError(
                 f"a product of {len(f1)} by {len(f2)} terms "
@@ -157,14 +169,12 @@ class Element:
         # which is divmod for negative v too), reads its suffix word
         # straight from the word table (its offset is in range by
         # construction; past the table, decode) and builds its term in C
-        # (new_monomial).  Coefficients as int numerators over one
-        # denominator per operand (_over): a pair costs an int product.
-        right = [(len(a2), offset(a2), k2, b2,
-                  c2.numerator * (s2 // c2.denominator))
+        # (new_monomial).  A pair's numerator is an int product, over
+        # d1 * d2.
+        right = [(len(a2), offset(a2), k2, b2, c2)
                  for (a2, k2, b2), c2 in f2.items()]
         acc: Dict[Monomial, int] = {}
         for (a1, k1, b1), c1 in f1.items():
-            c1 = c1.numerator * (s1 // c1.denominator)
             n1, t1 = len(b1), offset(b1)
             low1 = (1 << n1) - 1
             for n2, t2, k2, b2, c2 in right:
@@ -186,15 +196,12 @@ class Element:
                     t = v & ((1 << n) - 1)
                     w = _TABLE[n][t] if n <= _TABLE_LEN else decode(n, t)
                     m = new_monomial((a1, k1 - (v >> n), b2 + w))
-                c = c1 * c2
-                old = acc.get(m)
-                new = c if old is None else old + c
+                new = acc.get(m, 0) + c1 * c2
                 if new:
                     acc[m] = new
                 else:
                     acc.pop(m, None)
-        d = d1 * d2
-        return _Product(acc, d) if d != 1 and acc else Element(acc)
+        return _element(acc, d1 * d2)
 
     def scale(self, c: Coeff) -> "Element":
         if not c:
@@ -202,68 +209,32 @@ class Element:
         return Element({m: c0 * c for m, c0 in self.terms.items()})
 
     def adjoint(self) -> "Element":
-        return Element({adjoint_mono(m): c for m, c in self.terms.items()})
+        return _element({adjoint_mono(m): n for m, n in self._num.items()},
+                        self._d)
 
     def __repr__(self) -> str:
         return f"Element({element_str(self)!r})"
 
 
-class _Product(Element):
-    """A nonzero product whose denominator d = d1 * d2 is not 1, held as its
-    int numerator map over d, with `terms` unset.  The first read of
-    `terms` builds it by an eager product's rule (the Fraction n/d of each
-    numerator n, in the same order, through _fraction), drops the
-    numerators and makes the object a plain Element, so it never holds
-    both.  The product's operand setup, eq, element_str and to_json read
-    the numerators (_over, _stored, _sorted_rows) and build no Fraction."""
-
-    __slots__ = ()
-
-    def __init__(self, num: Dict[Monomial, int], d: int):
-        self._num = num, d
-
-    def __getattr__(self, name: str):
-        if name != "terms":
-            raise AttributeError(name)
-        num, d = self._num
-        fracs = {n: _fraction(n, d) for n in set(num.values())}
-        self.terms = terms = {m: fracs[n] for m, n in num.items()}
-        del self._num
-        self.__class__ = Element
-        return terms
-
-    def __reduce__(self):
-        # copy and pickle the numerators; the default reads every slot,
-        # and reading `terms` would build them
-        return _Product, self._num
+def _element(num: Dict[Monomial, int], d: int) -> Element:
+    """The Element of the int numerators num over d; `terms` is num itself
+    when d is 1, and is built on its first read otherwise."""
+    e = Element.__new__(Element)
+    if not num:
+        d = 1
+    e._num, e._d, e._terms = num, d, num if d == 1 else None
+    return e
 
 
-def _over(e: Element) -> Tuple[Dict[Monomial, Coeff], int, int]:
-    """e's coefficients over one denominator d, as (map, d, s): the
-    coefficient c of a term of map stands for c.numerator * (s //
-    c.denominator) / d.  Any element but an unread product gives its
-    terms, with s = d the lcm of their denominators (1 when all are ints).
-    An unread product gives its int numerators, with s = 1, over the same
-    d: both are first divided by their gcd, once (the product keeps them
-    so), which a product of its own never needs to do."""
-    if type(e) is _Product:
-        num, d = e._num
+def _over(e: Element) -> Tuple[Dict[Monomial, int], int]:
+    """e's int numerators and denominator, divided by their gcd once (e
+    keeps them so): a product's, made over d1 * d2, may share a factor."""
+    num, d = e._num, e._d
+    if d != 1:
         g = gcd(d, *num.values())
         if g != 1:
-            num, d = e._num = {m: n // g for m, n in num.items()}, d // g
-        return num, d, 1
-    f = e.terms
-    if _ints(map(type, f.values())):
-        return f, 1, 1
-    d = lcm(*map(_denominator, f.values()))
-    return f, d, d
-
-
-def _stored(e: Element):
-    """What e holds: (numerators, denominator) for an unread product, else
-    its terms.  Equal results mean equal terms, since such a pair never
-    equals a term map."""
-    return e._num if type(e) is _Product else e.terms
+            num, d = e._num, e._d = {m: n // g for m, n in num.items()}, d // g
+    return num, d
 
 
 # named constructors ------------------------------------------------------
@@ -308,51 +279,49 @@ def normalize(e: Element, depth: Optional[int] = None) -> Element:
         raise DomainError(f"depth {depth} below canonical depth {min_depth}")
     # one term 17 letters short is over the limit alone: cap the shift
     # there, so a huge depth does not build a huge integer
-    if sum(1 << min(depth - len(m.beta), 17) for m in e.terms) > _MAX_TERMS:
+    if sum(1 << min(depth - len(m.beta), 17) for m in e._num) > _MAX_TERMS:
         raise CapacityError(f"the form at depth {depth} has over "
                             f"{_MAX_TERMS} terms")
-    return Element(_expand(e, lambda beta: len(beta) < depth))
+    return _expand(e, lambda beta: len(beta) < depth)
 
 
-def _expand(e: Element, inner: Callable[[Word], bool]) -> Dict[Monomial, Coeff]:
-    """The collected term map of e with each term expanded while inner
-    holds of its beta."""
-    acc: Dict[Monomial, Coeff] = {}
-    for m, c in e.terms.items():
+def _expand(e: Element, inner: Callable[[Word], bool]) -> Element:
+    """e with each term expanded while inner holds of its beta, its int
+    numerators summed per leaf over e's denominator."""
+    acc: Dict[Monomial, int] = {}
+    for m, n in e._num.items():
         stack = [m]
         while stack:
             cur = stack.pop()
             if inner(cur[2]):
                 stack.extend(expand_right(cur))
                 continue
-            # most leaves are new: skip the int + Fraction addition
-            old = acc.get(cur)
-            new = c if old is None else old + c
+            new = acc.get(cur, 0) + n
             if new:
                 acc[cur] = new
             else:
                 acc.pop(cur, None)
-    return acc
+    return _element(acc, e._d)
 
 
-def _refine(e: Element) -> Dict[Monomial, Coeff]:
-    """The collected term map of e on the refinement of its beta words:
-    each term is expanded while its beta is a proper prefix of some beta
-    present, so the betas left are prefix-free."""
-    return _expand(e, carets({m.beta for m in e.terms}).__contains__)
+def _refine(e: Element) -> Element:
+    """e on the refinement of its beta words: each term is expanded while
+    its beta is a proper prefix of some beta present, so the betas left
+    are prefix-free."""
+    return _expand(e, carets({m.beta for m in e._num}).__contains__)
 
 
 def _beta_groups(e1: Element, e2: Element) -> Tuple[Dict[Word, list], int]:
     """The terms of e1 - e2 grouped by beta, as rows (alpha, k, n) of int
     numerators n over one denominator d; returns (groups, d)."""
-    f1, d1, s1 = _over(e1)
-    f2, d2, s2 = _over(e2)
+    f1, d1 = _over(e1)
+    f2, d2 = _over(e2)
     d = d1 if d1 == d2 else lcm(d1, d2)
     by_beta: Dict[Word, list] = {}
     get = by_beta.get
-    for terms, scale in ((f1, s1 * (d // d1)), (f2, -s2 * (d // d2))):
-        for (a, k, b), c in terms.items():
-            n = c.numerator * (scale // c.denominator)
+    for terms, scale in ((f1, d // d1), (f2, -(d // d2))):
+        for (a, k, b), n in terms.items():
+            n *= scale
             row = get(b)
             if row is None:
                 by_beta[b] = [(a, k, n)]
@@ -474,7 +443,7 @@ def eq(e1: Element, e2: Element) -> bool:
     are grouped once; a longest beta is a leaf of the refinement, and if
     its terms do not cancel the answer is false, with no carets built.
     Only when they cancel does the depth-first walk (_first_leaf) decide."""
-    if _stored(e1) == _stored(e2):
+    if e1._d == e2._d and e1._num == e2._num:
         return True
     by_beta, _d = _beta_groups(e1, e2)
     if not _leaf_cancels(by_beta, max(by_beta, key=len)):
@@ -484,9 +453,9 @@ def eq(e1: Element, e2: Element) -> bool:
 
 def phi(e: Element) -> Element:
     """The shift endomorphism phi(x) = S_1 x S_1* + S_2 x S_2*."""
-    return Element(_add_terms({}, ((Monomial((letter,) + a, k, (letter,) + b), c)
-                                   for (a, k, b), c in e.terms.items()
-                                   for letter in (1, 2))))
+    return _element({Monomial((letter,) + a, k, (letter,) + b): n
+                     for (a, k, b), n in e._num.items() for letter in (1, 2)},
+                    e._d)
 
 
 def _unitary_terms(e: Element, what: str) -> Dict[Monomial, Coeff]:
@@ -497,19 +466,21 @@ def _unitary_terms(e: Element, what: str) -> Dict[Monomial, Coeff]:
     refined form and is returned as it is (callers only read it): its betas
     are a partition iff they are distinct and one more than their carets
     (words.is_partition)."""
-    f = e.terms
+    f = e._num
     betas = {m.beta for m in f}
     inner = carets(betas)
     if inner.isdisjoint(betas):
         betas_ok = len(f) == len(betas) == len(inner) + 1
     else:
-        f = _expand(e, inner.__contains__)
+        e = _expand(e, inner.__contains__)
+        f = e._num
         betas_ok = is_partition(m.beta for m in f)
-    if not (betas_ok and all(c == 1 for c in f.values())
+    # every coefficient n/d is 1
+    if not (betas_ok and set(f.values()) == {e._d}
             and is_partition(m.alpha for m in f)):
         raise DomainError(f"{what} requires a coefficient-1 tree-pair "
                           f"unitary of W")
-    return f
+    return e.terms
 
 
 def in_w(e: Element) -> bool:
@@ -547,7 +518,7 @@ def membership(e: Element) -> Membership:
     """Flags read off the refined form; expansion keeps k == 0 (a nonzero
     charge always leaves a nonzero child), |alpha| - |beta| and alpha ==
     beta, so they are those of every canonical form."""
-    f = _refine(e)
+    f = _refine(e)._num
     in_o2 = all(m.k == 0 for m in f)
     in_qt = all(len(m.alpha) == len(m.beta) for m in f)
     in_f2 = in_o2 and in_qt
@@ -579,7 +550,7 @@ def putnam_form(e: Element) -> List[Tuple[Element, int]]:
         if len(a) != len(b):
             raise DomainError("putnam_form requires equal-length word pairs")
         groups.setdefault(offset(a) - offset(b) + (k << len(a)), []).append(a)
-    out = [(Element({new_monomial((a, 0, a)): 1 for a in groups[n]}), n)
+    out = [(_element({new_monomial((a, 0, a)): 1 for a in groups[n]}, 1), n)
            for n in sorted(groups)]
     if not _translates_terms(out, f):
         raise AssertionError("putnam_form's projections do not match the "
@@ -613,8 +584,8 @@ def bd_v_factor(e: Element) -> Tuple[Element, Element]:
     factor has charge zero.  Their product recovers the input exactly.
     """
     f = _unitary_terms(e, "bd_v_factor")
-    bd = Element({new_monomial((a, k, a)): 1 for (a, k, _b) in f})
-    v = Element({new_monomial((a, 0, b)): 1 for (a, _k, b) in f})
+    bd = _element({new_monomial((a, k, a)): 1 for (a, k, _b) in f}, 1)
+    v = _element({new_monomial((a, 0, b)): 1 for (a, _k, b) in f}, 1)
     return bd, v
 
 
@@ -622,16 +593,11 @@ def bd_v_factor(e: Element) -> Tuple[Element, Element]:
 
 def _sorted_rows(e: Element) -> List[Tuple[Monomial, int, int]]:
     """e's terms in sorted_terms order as (monomial, n, d), the coefficient
-    n/d in lowest terms.  An unread product gives them from its numerators
-    and builds no Fraction."""
-    if type(e) is not _Product:
-        return [(m, c.numerator, c.denominator) for m, c in e.sorted_terms()]
-    num, d = e._num
-    rows = []
-    for m, n in sorted(num.items(), key=_term_order):
-        g = gcd(n, d)
-        rows.append((m, n // g, d // g))
-    return rows
+    n/d in lowest terms, read from its numerators."""
+    d = e._d
+    return [(m, n // g, d // g)
+            for m, n in sorted(e._num.items(), key=_term_order)
+            for g in (gcd(n, d),)]
 
 
 def element_str(e: Element) -> str:
@@ -640,8 +606,6 @@ def element_str(e: Element) -> str:
         body = mono_str(m)
         if d == 1 and n == 1:
             parts.append(body)
-        elif d == 1 and n == -1:
-            parts.append(f"-1*{body}" if body != "1" else "-1")
         elif body == "1":
             parts.append(_coeff_str(n, d))
         else:
@@ -690,7 +654,7 @@ def parse_element(text: str) -> Element:
         raise ParseError("empty element text", 0)
     # read back to front: pop() takes the next token, toks[-1] peeks past it
     toks = [("end", "", len(text))] + toks[::-1]
-    total, sign = Element(), 1
+    total, sign = {}, 1
     kind, tok, pos = toks.pop()
     while True:
         if tok in ("+", "-"):
@@ -724,9 +688,9 @@ def parse_element(text: str) -> Element:
                 kind, tok, pos = toks.pop()
         if acc is None:
             raise ParseError("expected a factor", pos)
-        total = total + acc.scale(coeff)
+        _add_terms(total, acc.scale(coeff).terms.items())
         if kind == "end":
-            return total
+            return Element(total)
         if tok not in ("+", "-"):
             raise ParseError("expected '+' or '-'", pos)
         sign = 1 if tok == "+" else -1

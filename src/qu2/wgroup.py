@@ -24,7 +24,7 @@ import json
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
-from .element import Element, _json_int, _json_name, _unitary_terms
+from .element import Element, _element, _json_int, _json_name, _unitary_terms
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import new_monomial
 from .words import Word, decode, is_partition, offset
@@ -171,7 +171,7 @@ def _check_depth(terms: List[Leaf]) -> None:
 
 
 def to_element(d: Diagram) -> Element:
-    return Element(dict.fromkeys(map(new_monomial, d.leaf_map), 1))
+    return _element(dict.fromkeys(map(new_monomial, d.leaf_map), 1), 1)
 
 
 def from_element(e: Element) -> Diagram:

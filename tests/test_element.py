@@ -313,8 +313,8 @@ def typed_items(terms):
 
 
 def unread(e):
-    """True iff e is a product whose terms have not been built."""
-    return type(e) is qu2.element._Product
+    """True iff e holds numerators over d != 1 whose terms are not built."""
+    return e._terms is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -328,7 +328,7 @@ def test_filled_product_terms_match_the_eager_product(operands, chain):
     elif chain == "right":
         p, ref = e1 * p, eager_product(e1, Element(ref))
     assert typed_items(p.terms) == typed_items(ref)
-    assert type(p) is Element
+    assert type(p) is Element and not unread(p)
 
 
 def test_filled_product_terms_match_the_eager_product_on_random_pairs():
@@ -355,13 +355,13 @@ LAZY_B = "2/7*S[1] U^3 + 1/11*P[2] - S*[12] + 5/6*S[21] U S*[2]"
 def test_fractional_product_builds_no_fraction_until_read(monkeypatch):
     a, b = parse_element(LAZY_A), parse_element(LAZY_B)
     ref = eager_product(a, b)
-    assert type(u() * u(2)) is Element  # an integral product is built at once
+    assert not unread(u() * u(2))  # an integral product's terms are its ints
     qu2.element._fraction.cache_clear()
     built = count_fractions(monkeypatch)
     p = a * b
     assert unread(p) and not built
     terms = p.terms
-    assert built and type(p) is Element
+    assert built and not unread(p)
     built.clear()
     assert p.terms is terms and not built
     monkeypatch.undo()
@@ -390,7 +390,8 @@ def test_product_readers_build_no_fraction(monkeypatch):
                     Element(eager_product(a, Element(eager_product(b, b)))))
     assert expected[:6] == [True, True, True, False, False, False]
     p, p_deeper = a * b, deeper * b
-    assert p._num != p_deeper._num  # eq(p, p_deeper) walks the trie
+    # eq(p, p_deeper) walks the trie
+    assert (p._num, p._d) != (p_deeper._num, p_deeper._d)
     built = count_fractions(monkeypatch)
     operands = [p, a * b, b * a, p_deeper, p * b, a * (b * b)]
     got = read(*operands)
@@ -410,6 +411,62 @@ def test_unread_product_copies_and_pickles_its_numerators():
     for c in copies:
         assert typed_items(c.terms) == typed_items(ref)
     assert unread(p)
+    # Elements built from maps keep them: fractional, and ints beside
+    # Fractions
+    mixed = Element({Monomial((1,), 2, ()): 3, Monomial((), 0, (2,)):
+                     Fraction(1, 2), Monomial((), 1, ()): Fraction(4, 2)})
+    for e in (a, mixed):
+        ref = typed_items(e.terms)
+        for c in (copy.copy(e), copy.deepcopy(e),
+                  pickle.loads(pickle.dumps(e))):
+            assert typed_items(c.terms) == ref
+            assert c == e and eq(c, e)
+
+
+def test_fraction_maps_multiply_and_compare_without_fractions(monkeypatch):
+    # Elements built from Fraction maps, as the benchmark builds them: their
+    # terms are the maps passed in, and eq and * read their numerators
+    rng = random.Random(29)
+    maps = [_random_element(rng).terms for _ in range(40)]
+    maps = [{m: Fraction(c) for m, c in f.items()} for f in maps]
+    assert sum(c.denominator != 1 for f in maps for c in f.values()) > 150
+    elements = [Element(f) for f in maps]
+    assert all(e.terms is f for e, f in zip(elements, maps))
+    refs = [(eager_product(a, b), eager_product(b, a), semantic_eq(a, b))
+            for a, b in zip(elements[::2], elements[1::2])]
+    built = count_fractions(monkeypatch)
+    got = []
+    for a, b in zip(elements[::2], elements[1::2]):
+        p, q = a * b, b * a
+        got.append((p, q, eq(a, b), eq(p, q), eq(a, a), eq(p, p * one())))
+    assert not built
+    monkeypatch.undo()
+    for (p, q, verdict, same, *trivial), (ref_p, ref_q, want) in zip(got, refs):
+        assert (verdict, same, trivial) == (want, eq(Element(ref_p),
+                                                     Element(ref_q)),
+                                            [True, True])
+        assert typed_items(p.terms) == typed_items(ref_p)
+        assert typed_items(q.terms) == typed_items(ref_q)
+    assert all(e.terms is f for e, f in zip(elements, maps))
+
+
+def test_product_of_orthogonal_fractional_terms_is_the_canonical_zero():
+    # d1 * d2 = 6, and every term pair is orthogonal or cancels: the empty
+    # map is held over d = 1, as zero() is
+    cases = [parse_element("1/2*S*[1]") * parse_element("1/3*S[2]"),
+             parse_element("1/2*S*[1] + 1/2*S*[2]") * parse_element(
+                 "1/3*S[1] - 1/3*S[2]"),
+             parse_element("1/2*S*[12]") * parse_element("1/3*S[11] + S[2]")]
+    cases.append(parse_element("1/2*U") * parse_element("S*[1]")
+                 - parse_element("1/2*U S*[1]"))
+    for p in cases:
+        for z in (zero(), Element({})):
+            assert eq(p, z) and eq(z, p)
+            assert p == z and z == p
+        assert not p
+        assert element_str(p) == "0" and to_json(p) == "[]"
+        assert p.terms == {} and p.depth() == 0
+        assert eq(p * parse_element("1/5*U"), zero())
 
 
 @given(elements, st.integers(1, 3), st.lists(indices, min_size=3, max_size=5))
@@ -683,7 +740,7 @@ def test_putnam_self_check_raises_under_optimization():
 def reference_unitary_terms(e, what):
     """Refine, then check both word families: the rule _unitary_terms
     decides without refining a stored tree pair."""
-    f = _refine(e)
+    f = _refine(e).terms
     if not (f and all(c == 1 for c in f.values())
             and is_partition(m.alpha for m in f)
             and is_partition(m.beta for m in f)):
@@ -1191,7 +1248,7 @@ def test_normalize_term_budget():
 
 def refined_maps(e1, e2):
     inner = carets({m.beta for e in (e1, e2) for m in e.terms}).__contains__
-    return _expand(e1, inner), _expand(e2, inner)
+    return _expand(e1, inner).terms, _expand(e2, inner).terms
 
 
 def check_eq(a, b):
