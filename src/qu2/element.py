@@ -731,20 +731,21 @@ def _json_int(x, what: str) -> int:
     return x
 
 
-def _json_coeff(x) -> Fraction:
+def _json_coeff(x) -> Coeff:
     """A row's coefficient: a JSON integer, or a string holding an integer,
-    p/q or a decimal."""
+    p/q or a decimal; an int when it is integral, as parse_element reads it."""
     if type(x) is int:
-        return Fraction(x)
+        return x
     if type(x) is not str:
         raise ParseError("a coefficient must be a JSON integer or a string "
                          f"p/q, not {_json_name(x)}")
     try:
-        return Fraction(_RATIONAL.fullmatch(x)[0])
+        c = Fraction(_RATIONAL.fullmatch(x)[0])
     except (TypeError, ValueError, ZeroDivisionError):  # no match, q = 0,
         # or digits over the int-conversion limit
         raise ParseError(f"bad coefficient {x[:32]!r}" + (
             f" ({len(x)} characters)" if len(x) > 32 else "")) from None
+    return c.numerator if c.denominator == 1 else c
 
 
 def _json_word(x) -> Word:

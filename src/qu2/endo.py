@@ -8,13 +8,13 @@ unitary Utilde satisfies
     (ext1)  Utilde (u S_2) = u S_1
     (ext2)  Utilde (u S_1) = (u S_2) Utilde
 
-check_extension decides both equations by element arithmetic for any
-candidate Utilde; the constructive families (make_u_p, make_u_sigma,
-make_inner_phi) build unitaries that pass it for the standard template
-menu, and enumerate_extendible classifies, for one template, the
-extendible permutations of a level by a search that both equations
-prune, word by word, on the template's leaf map (_image), and that the
-extension checker verifies.  A permutation unitary is its index tuple:
+check_extension decides both equations for any candidate Utilde in W by
+descent on its leaf map (_image); the constructive families (make_u_p,
+make_u_sigma, make_inner_phi) build unitaries that pass it for the
+standard template menu, and enumerate_extendible classifies, for one
+template, the extendible permutations of a level by a search that both
+equations prune, word by word, on the same leaf map, and checks each
+survivor with check_extension.  A permutation unitary is its index tuple:
 products, adjoints, phi and the rewriting one level up are index maps
 (PermUnitary), so the families, the menu's templates and the automorphism
 probe's tower use no Element arithmetic.  Only this module knows the
@@ -152,20 +152,6 @@ class PermUnitary(NamedTuple):
         return Element({Monomial(words[self.perm[i]], 0, words[i]): 1
                         for i in range(len(words))})
 
-    def s_images(self) -> Tuple[Element, Element]:
-        """(u S_1, u S_2), read off the permutation: for level k >= 1,
-        u S_i = sum_y S_rho(iy) S_y* with y over the length-(k-1) words,
-        and iy has lex index j for i = 1 and half + j for i = 2 when y has
-        index j.  At level 0, u = 1 and u S_i = S_i."""
-        if self.level == 0:
-            return s((1,)), s((2,))
-        words = all_words(self.level)
-        ys = all_words(self.level - 1)
-        half = len(ys)
-        return tuple(Element({Monomial(words[self.perm[start + j]], 0, y): 1
-                              for j, y in enumerate(ys)})
-                     for start in (0, half))
-
     def cycles(self) -> str:
         return perm_to_cycles(self.perm)
 
@@ -205,21 +191,26 @@ _NOT_IN_W = "candidate image of U is not a coefficient-1 tree-pair unitary of W"
 
 
 def check_extension_parts(pu: PermUnitary, u_tilde: Element) -> Tuple[bool, bool]:
-    """(ext1, ext2) truth values for the candidate image of U."""
+    """(ext1, ext2) for the candidate image of U, read off its leaf map
+    (_image): u S_i = sum_y S_rho(iy) S_y* over the length-(k-1) words y, so
+    ext1 holds iff Utilde S_rho(2y) = S_rho(1y) for every y, and ext2 iff
+    every piece of _ext2_pieces holds.  Level 0 is read one level up."""
     if not in_w(u_tilde):
         raise DomainError(_NOT_IN_W)
-    return _extension_parts(pu, u_tilde)
-
-
-def _extension_parts(pu: PermUnitary, u_tilde: Element) -> Tuple[bool, bool]:
-    """(ext1, ext2) for a candidate the caller has checked is in W."""
-    s1t, s2t = pu.s_images()
-    return eq(u_tilde * s2t, s1t), eq(u_tilde * s1t, s2t * u_tilde)
+    k, perm = pu.promote() if pu.level == 0 else pu
+    half = 1 << (k - 1)
+    words = all_words(k)
+    image = _image(u_tilde)
+    ext1 = all(image(words[perm[half + j]]) == (words[perm[j]], 0)
+               for j in range(half))
+    ext2 = all(image(words[perm[j]] + c) == (words[perm[z]] + v, q)
+               for j, pieces in enumerate(_ext2_pieces(k, image))
+               for c, z, v, q in pieces)
+    return ext1, ext2
 
 
 def check_extension(pu: PermUnitary, u_tilde: Element) -> bool:
-    ext1, ext2 = check_extension_parts(pu, u_tilde)
-    return ext1 and ext2
+    return all(check_extension_parts(pu, u_tilde))
 
 
 class ExtendedEndo(NamedTuple):
@@ -503,13 +494,11 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
     brute mode is a complete classification (k <= 4): ext1 forces rho on the
     words 1y from rho on the words 2y, and a search over the 2-half prunes
     every collision and every partial rho that already breaks ext2, both
-    read off the template's leaf map (_extendible).  Both extension
-    equations are then checked on each survivor, as check_extension does,
-    with the template checked to be in W once.  constructive mode replays
-    the closed-form family attached to the template and raises a domain
-    error for templates with no such family.  jobs changes nothing, since
-    the search is serial; it stays only because the benchmark's sweep
-    passes jobs=1.
+    read off the template's leaf map (_extendible).  Each survivor is then
+    checked with check_extension.  constructive mode replays the closed-form
+    family attached to the template and raises a domain error for templates
+    with no such family.  jobs changes nothing, since the search is serial;
+    it stays only because the benchmark's sweep passes jobs=1.
     """
     if mode == "constructive":
         return constructive_family(k, template)
@@ -523,9 +512,8 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
             f"level must be <= {_MAX_BRUTE_LEVEL}")
     if not in_w(template):
         raise DomainError(_NOT_IN_W)
-    found = sorted(perm for perm in _extendible(k, template)
-                   if all(_extension_parts(PermUnitary(k, perm), template)))
-    return [PermUnitary(k, perm) for perm in found]
+    found = (PermUnitary(k, perm) for perm in _extendible(k, template))
+    return sorted(pu for pu in found if check_extension(pu, template))
 
 
 def enumerate_menu(k: int, mode: str = "brute") -> Iterator[Tuple[str, PermUnitary]]:
@@ -568,7 +556,7 @@ def _image(template: Element) -> Callable[[Word], Optional[Tuple[Word, int]]]:
     as Element.__mul__ keys words; for w = b c, v = a c' and q, t(c') =
     divmod(t(c) + m, 2^|c|).  None when w is a proper prefix of some b: the
     reduced map has merged every subtree that is one monomial."""
-    from .wgroup import _reduce  # the search and _inner_perm alone use it
+    from .wgroup import _reduce  # only the extension check and _inner_perm use it
 
     terms = _reduce(sorted(_unitary_terms(template, "the image of U")))
     leaves = {(len(b), offset(b)): (a, m) for a, m, b in terms}
@@ -586,21 +574,37 @@ def _image(template: Element) -> Callable[[Word], Optional[Tuple[Word, int]]]:
     return image
 
 
+def _ext2_pieces(k: int, image) -> Iterator[list]:
+    """For each length-(k-1) word x in lex order, ext2's pieces (c, index
+    of 2 v[:k-1], v[k-1:], q) on the template's image (_image).  Times S_x,
+    ext2 reads Utilde S_rho(1x) = u S_2 (Utilde S_x), and times S_c, for each
+    c of a partition grown until Utilde S_xc = S_v U^q with |v| >= k-1:
+    Utilde S_rho(1x)c = S_rho(2 v[:k-1]) v[k-1:] U^q, as u S_w = S_rho(w)
+    for |w| = k.  Two such monomials are equal iff words and charges are."""
+    half = 1 << (k - 1)
+    for x in all_words(k - 1):
+        pieces, tails = [], [()]
+        while tails:
+            c = tails.pop()
+            hit = image(x + c)
+            if hit is None or len(hit[0]) < k - 1:
+                tails += [c + (2,), c + (1,)]
+            else:
+                v, q = hit
+                pieces.append((c, half + lex_index(v[:k - 1]), v[k - 1:], q))
+        yield pieces
+
+
 def _extendible(k: int, template: Element) -> Iterator[Perm]:
     """The level-k permutations that satisfy ext1 and ext2 (up to the
-    final check of enumerate_extendible), both read off _image; at level 0,
-    unfiltered, the only permutation there is.
+    final check of enumerate_extendible), both read off _image as
+    check_extension_parts reads them; at level 0, unfiltered, the only
+    permutation there is.
 
-    With y over the length-(k-1) words, u S_i = sum_y S_rho(iy) S_y*, so
-    ext1 holds iff Utilde S_rho(2y) = S_rho(1y) for every y: rho on 2y
-    forces rho on 1y.  Times S_x, ext2 reads Utilde S_rho(1x) = u S_2
-    (Utilde S_x) for each x, and times S_c, for each c of a partition grown
-    until Utilde S_xc = S_v U^q with |v| >= k-1: Utilde S_rho(1x)c =
-    S_rho(2 v[:k-1]) v[k-1:] U^q, as u S_w = S_rho(w) for |w| = k.  Two such
-    monomials are equal iff their words and charges are.  The search places
-    rho(2y) and rho(1y) for one y at a time, in lex order of y, and decides
-    x's equation once rho is placed on 2x and every 2 v[:k-1], memoized on
-    rho there.
+    ext1 forces rho on 1y from rho on 2y.  The search places rho(2y) and
+    rho(1y) for one y at a time, in lex order of y, and decides x's pieces
+    of ext2 once rho is placed on 2x and every 2 v[:k-1], memoized on rho
+    there.
     """
     if k == 0:
         yield (0,)
@@ -611,18 +615,9 @@ def _extendible(k: int, template: Element) -> Iterator[Perm]:
     forced = {a: lex_index(hit[0]) for a, hit in enumerate(map(image, words))
               if hit and hit[1] == 0 and len(hit[0]) == k}  # Utilde S_a = S_b
     # checks[i]: the equations decided once y_i is placed, as x's index j,
-    # the indices of the 2z read, and pieces (c, index of 2 v[:k-1], v[k-1:], q)
+    # the indices of the 2z read, and x's pieces
     checks: List[list] = [[] for _ in range(half)]
-    for j, x in enumerate(all_words(k - 1)):
-        pieces, tails = [], [()]
-        while tails:
-            c = tails.pop()
-            hit = image(x + c)
-            if hit is None or len(hit[0]) < k - 1:
-                tails += [c + (2,), c + (1,)]
-            else:
-                v, q = hit
-                pieces.append((c, half + lex_index(v[:k - 1]), v[k - 1:], q))
+    for j, pieces in enumerate(_ext2_pieces(k, image)):
         reads = sorted({half + j}.union(z for _c, z, _v, _q in pieces))
         checks[reads[-1] - half].append((j, reads, pieces, {}))
     perm = [0] * (2 * half)
@@ -744,7 +739,7 @@ def lambda_apply(endo: ExtendedEndo, e: Element) -> Element:
     U -> the verified template, extended multiplicatively."""
     if not endo.verified:
         raise DomainError("endomorphism is not verified; refusing to apply")
-    images = dict(zip((1, 2), endo.u.s_images()))
+    images = {i: endo.u.element * s((i,)) for i in (1, 2)}
     ut, ut_star = endo.u_tilde, endo.u_tilde.adjoint()
     out = Element()
     for m, c in e.terms.items():

@@ -1,5 +1,6 @@
-"""Shared test tooling: wall-time limits, the one-line error rule, and a
-CLI run in a child process under an address-space limit."""
+"""Shared test tooling: wall-time limits, the one-line error rule, a CLI
+run in a child process under an address-space limit, and the extension
+equations decided by Element products."""
 
 import contextlib
 import os
@@ -8,6 +9,8 @@ import resource
 import signal
 import subprocess
 import sys
+
+from qu2.element import eq, s
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -46,3 +49,13 @@ def run_limited(argv, seconds, max_bytes):
                           capture_output=True, text=True, timeout=seconds,
                           preexec_fn=cap, env={**os.environ, "PYTHONPATH": path})
     return done.returncode, done.stdout, done.stderr
+
+
+def extension_parts_by_products(pu, u_tilde):
+    """(ext1, ext2) for the permutation unitary pu and a template in W, by
+    Element arithmetic: the reference for endo.check_extension_parts, which
+    reads both equations off the template's leaf map.  u S_i is the product
+    pu.element * S_i, and Utilde (u S_2) = u S_1 and Utilde (u S_1) =
+    (u S_2) Utilde are three more products compared by eq."""
+    s1t, s2t = (pu.element * s((i,)) for i in (1, 2))
+    return eq(u_tilde * s2t, s1t), eq(u_tilde * s1t, s2t * u_tilde)

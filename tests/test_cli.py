@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qu2.cli import main
-from qu2.element import element_str, eq, from_json, parse_element, u
+from qu2.element import element_str, eq, from_json, parse_element, s, u
 from qu2.endo import mixed_template, perm_unitary_from_cycles
 
 from helpers import SRC, one_line_error, run_limited, time_limit
@@ -38,7 +38,8 @@ def test_eq_verb(capsys):
 def test_eq_explain_names_the_witness(capsys, cycles, variant):
     # criterion 1's near misses: the second extension equation fails
     template = mixed_template(2, 0, variant)
-    s1t, s2t = perm_unitary_from_cycles(2, cycles).s_images()
+    element = perm_unitary_from_cycles(2, cycles).element
+    s1t, s2t = (element * s((i,)) for i in (1, 2))
     left, right = element_str(template * s1t), element_str(s2t * template)
     code, out, _ = run(capsys, "eq", left, right)
     assert (code, out) == (0, "false\n")
@@ -486,16 +487,40 @@ def test_enumerate_constructive_inner_label_at_level_18():
     assert lines[0].startswith("AD:id\tid\tP[") and lines[0].count(" + ") == (1 << 18) - 1
 
 
-# each of these multiplied two 2^13 (2^17) term elements, pair by pair,
-# for minutes to an hour
-@pytest.mark.parametrize("argv, seconds", [
-    (("check-ext", "id", "--level", "14", "--template", "M1:12"), 5),
-    (("construct", "--level", "18", "--template", "AD:(1 2)"), 10),
-])
-def test_product_past_the_term_pair_cap_is_refused(argv, seconds):
+# the extension check makes no Element product, so these answer, though a
+# product of their 2^13- or 2^17-term u S_i and template passes the
+# 2^24 term-pair cap
+CAP_CASES = [
+    (("check-ext", "id", "--level", "14", "--template", "M1:12"), 5,
+     "extendible=false"),
+    (("construct", "--level", "14", "--template", "M1:12"), 5, "verified\ttrue"),
+    (("check-ext", "id", "--level", "18", "--template", "U+"), 5,
+     "extendible=false"),
+    (("check-ext", "id", "--level", "18", "--template", "M1:16"), 8,
+     "extendible=false"),
+    (("check-ext", "id", "--level", "18", "--template", "AD*:id"), 8,
+     "extendible=false"),
+    (("check-ext", "id", "--level", "18", "--template", "AD:id"), 10,
+     "extendible=true"),
+    (("construct", "--level", "18", "--template", "AD:(1 2)"), 15,
+     "verified\ttrue"),
+]
+
+
+@pytest.mark.parametrize("argv, seconds, verdict", CAP_CASES,
+                         ids=[" ".join(argv) for argv, _s, _v in CAP_CASES])
+def test_extension_check_past_the_term_pair_cap_answers(argv, seconds, verdict):
     code, out, err = run_limited(argv, seconds, 1500 << 20)
-    assert (code, out) == (1, ""), (argv, err)
-    assert one_line_error(err) and "2^24 term pairs" in err, (argv, err)
+    assert (code, err) == (0, ""), (argv, err)
+    assert out.splitlines()[-1].endswith(verdict), argv
+
+
+def test_product_past_the_term_pair_cap_is_refused():
+    # 4,097^2 term pairs, refused before the first is formed
+    power_sum = " + ".join(["1", "U"] + [f"U^{n}" for n in range(2, 4097)])
+    code, out, err = run_limited(("mul", power_sum, power_sum), 5, 1500 << 20)
+    assert (code, out) == (1, ""), err
+    assert one_line_error(err) and "2^24 term pairs" in err, err
 
 
 # a 64-letter word: expanding every term to its depth would take 2^64 terms

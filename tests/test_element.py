@@ -949,6 +949,12 @@ def test_from_json_reads_ints_and_rational_strings():
     e = from_json('[{"coeff": -2, "alpha": "12", "k": -3, "beta": ""}, '
                   '{"coeff": " 3/4 "}, {"coeff": "0.25", "beta": "2"}, {}]')
     assert element_str(e) == "7/4 + 1/4*S*[2] + -2*S[12] U^-3"
+    # an integral coefficient is read as the parser reads it: an int
+    for text in ('[{"coeff": 2}]', '[{"coeff": "2"}]', '[{"coeff": " 2.0 "}]',
+                 '[{"coeff": "4/2"}]', '[{}, {}]'):
+        terms = from_json(text).terms
+        assert terms == parse_element("2").terms, text
+        assert [type(c) for c in terms.values()] == [int], text
 
 
 @pytest.mark.parametrize("text, message", [

@@ -17,7 +17,6 @@ from qu2.element import (
     parse_element,
     phi,
     proj,
-    s,
     u,
 )
 from qu2.endo import (
@@ -111,20 +110,6 @@ def test_check_extension_level2_cases():
     # unitary, but not a tree pair: the check reads the image as one
     with pytest.raises(DomainError, match="tree-pair unitary of W"):
         check_extension(pu2("id"), parse_element("-1*U^2"))
-
-
-def test_s_images_match_products():
-    # u S_i read off the permutation equals the product, term for term
-    rng = random.Random(3)
-    level3 = []
-    for _ in range(200):
-        perm = list(range(8))
-        rng.shuffle(perm)
-        level3.append(PermUnitary(3, tuple(perm)))
-    cases = [PermUnitary(k, perm) for k in range(3)
-             for perm in permutations(range(1 << k))] + level3
-    for pu in cases:
-        assert pu.s_images() == (pu.element * s((1,)), pu.element * s((2,)))
 
 
 def test_level0_extension():
@@ -666,31 +651,21 @@ def test_tuple_paths_build_no_element_products(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("an Element path ran")
 
-    # the brute search multiplies nothing: each survivor's re-check makes
-    # the three products of _extension_parts, and no other product is made
+    # the brute search and the extension checker multiply nothing and
+    # compare no elements: both read the template's leaf map
     mixed, inner = mixed_template(3, 1, 2), parse_template(3, "AD:(1 3 2)")[1]
     with monkeypatch.context() as patch:
-        products, in_recheck = [], [False]
-        multiply, recheck = Element.__mul__, endo_module._extension_parts
-
-        def counted(a, b):
-            products.append(in_recheck[0])
-            return multiply(a, b)
-
-        def marked(pu, u_tilde):
-            in_recheck[0] = True
-            try:
-                return recheck(pu, u_tilde)
-            finally:
-                in_recheck[0] = False
-
-        patch.setattr(Element, "__mul__", counted)
-        patch.setattr(endo_module, "_extension_parts", marked)
+        patch.setattr(Element, "__mul__", refuse)
+        for module in (element_module, endo_module):
+            patch.setattr(module, "eq", refuse)
         for template in (mixed, inner):
-            del products[:]
             survivors = enumerate_extendible(3, template)
-            assert survivors and len(products) == 3 * len(survivors)
-            assert all(products)
+            assert survivors
+            assert all(check_extension_parts(pu, template) == (True, True)
+                       for pu in survivors)
+        assert check_extension_parts(PermUnitary(3, tuple(range(8))), mixed) \
+            == (False, False)
+        assert check_extension_parts(PermUnitary(0, (0,)), u()) == (True, True)
     # nor do the menu's builders and the inner permutation's reader
     with monkeypatch.context() as patch:
         patch.setattr(Element, "__mul__", refuse)

@@ -2,13 +2,15 @@
 
 The brute mode searches only the permutations that ext1 allows, prunes
 those that break ext2 as it places them, and then verifies each survivor
-with the extension checker.  The search reads both equations off the
-template's leaf map (endo._image), which these tests hold to Element
-products and eq on every short word.  They hold the search to the full
-sweep over all (2^k)! permutations (a reference loop kept here), to the
-search pruned by ext1 alone with its forced map found by eq (another), to
-the level-3 output of every menu template recorded from the sweep in
-tests/golden/, and at level 4 to the constructive families.
+with the extension checker.  The search and the checker read both
+equations off the template's leaf map (endo._image), which these tests
+hold to Element products and eq on every short word, and the checker's
+verdicts to the equations' Element products (the reference in helpers).
+They hold the search to the full sweep over all (2^k)! permutations (a
+reference loop kept here), to the search pruned by ext1 alone with its
+forced map found by eq and each candidate checked by Element products
+(another), to the level-3 output of every menu template recorded from the
+sweep in tests/golden/, and at level 4 to the constructive families.
 """
 
 import contextlib
@@ -28,6 +30,7 @@ from qu2.monomial import Monomial
 from qu2.endo import (
     PermUnitary,
     check_extension,
+    check_extension_parts,
     constructive_family,
     enumerate_extendible,
     mixed_template,
@@ -41,7 +44,7 @@ from qu2.errors import DomainError
 from qu2.wgroup import Diagram, to_element
 from qu2.words import all_words, decode
 
-from helpers import time_limit
+from helpers import extension_parts_by_products, time_limit
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -209,21 +212,8 @@ def ext1_candidates(k, template):
 
 def ext1_search(k, template):
     return sorted(perm for perm in ext1_candidates(k, template)
-                  if all(endo._extension_parts(PermUnitary(k, perm), template)))
-
-
-def test_ext2_pruning_keeps_the_ext1_search_results():
-    cases = [(k, t) for k in (2, 3) for _label, t in u_templates_labeled(k)]
-    assert len(cases) == 62
-    cases += [(2, t) for t in random_templates(2, 40, seed=1)]
-    cases += [(3, t) for t in random_templates(3, 60, seed=2)]
-    cases += [(0, u(1)), (1, u(-1))]
-    hits = 0
-    for k, template in cases:
-        expected = ext1_search(k, template)
-        assert found(k, template) == expected
-        hits += bool(expected)
-    assert hits >= 70
+                  if all(extension_parts_by_products(PermUnitary(k, perm),
+                                                     template)))
 
 
 def image_by_action(x):
@@ -318,15 +308,57 @@ def test_only_ext2_survivors_reach_the_extension_checker(monkeypatch):
     template = mixed_template(3, 1, 1)
     assert len(list(ext1_candidates(3, template))) == 24
     calls = []
-    checker = endo._extension_parts
 
     def counted(pu, u_tilde):
         calls.append(pu.perm)
-        return checker(pu, u_tilde)
+        return all(extension_parts_by_products(pu, u_tilde))
 
-    monkeypatch.setattr(endo, "_extension_parts", counted)
+    monkeypatch.setattr(endo, "check_extension", counted)
     assert len(found(3, template)) == 4
     assert len(calls) == 4
+
+
+def random_perms(rng, k, count):
+    return [PermUnitary(k, tuple(rng.sample(range(1 << k), 1 << k)))
+            for _ in range(count)]
+
+
+def test_the_checker_matches_the_element_products():
+    # check_extension_parts decides both equations on the leaf map; the
+    # Element products are the reference, on every u at levels 0 and 1,
+    # the menus' results and random u at levels 2 and 3, and 40 level-4
+    # templates with family members and random u
+    rng = random.Random(33)
+    cases = [(PermUnitary(k, perm), t) for k in (0, 1)
+             for perm in permutations(range(1 << k))
+             for t in [u(1), u(-1), u(2), flip_flop()]
+             + random_templates(1, 8, seed=4)]
+    for k in (2, 3):
+        templates = [t for _label, t in u_templates_labeled(k)]
+        templates += random_templates(k, 40, seed=k)
+        for t in templates:
+            members = enumerate_extendible(k, t) + random_perms(rng, k, 30)
+            cases += [(pu, t) for pu in members]
+    labels = list(template_labels(4))
+    level4 = [parse_template(4, label)[1]
+              for label in labels[:8] + rng.sample(labels[8:], 24)]
+    for t in level4:
+        members = constructive_family(4, t)
+        cases += [(pu, t) for pu in rng.sample(members, min(5, len(members)))
+                  + random_perms(rng, 4, 5)]
+    for t in random_templates(4, 8, seed=6):
+        cases += [(pu, t) for pu in random_perms(rng, 4, 5)]
+    verdicts = {}
+    for pu, t in cases:
+        parts = check_extension_parts(pu, t)
+        assert parts == extension_parts_by_products(pu, t), (pu, t)
+        verdicts.setdefault((pu.level == 4, parts), []).append(pu)
+    assert len(cases) > 4000 and len(level4) == 32
+    # each pair of truth values is met, and level 4 has both verdicts
+    assert {parts for _deep, parts in verdicts} == \
+        {(True, True), (True, False), (False, True), (False, False)}, verdicts.keys()
+    assert len(verdicts[True, (True, True)]) > 50
+    assert len(verdicts[True, (False, False)]) > 100
 
 
 def test_level4_brute_force_matches_the_families():
