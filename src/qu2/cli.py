@@ -260,11 +260,9 @@ def cmd_enumerate(args):
     k = args.level
     if args.all_templates:
         results = list(enumerate_menu(k, mode=args.mode))
-    elif args.template:
+    else:
         results = [(args.template, pu)
                    for pu in template_members(k, args.template, args.mode)]
-    else:
-        raise DomainError("enumerate needs --template or --all-templates")
     rows = [(label, pu.cycles(), element_str(pu.element))
             for label, pu in results]
     lines = ["\t".join(row) for row in rows]
@@ -433,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", cmd_enumerate, "extendible unitaries per template")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--template", default=None)
-    p.add_argument("--all-templates", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--template")
+    which.add_argument("--all-templates", action="store_true")
     p.add_argument("--mode", choices=("brute", "constructive"),
                    default="brute")
 

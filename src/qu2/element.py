@@ -1,14 +1,14 @@
 """Finite rational combinations of monomials, with exact normal forms.
 
-An Element is a collected map Monomial -> nonzero coefficient, held as int
-numerators over one denominator d (1 for an integral element and for the
-empty map); all arithmetic is exact.  `terms` is the coefficient map.  An
-Element built from a map keeps that map as `terms`; one made from
-numerators (a product, -e, adjoint, phi, normalize) builds it on its first
-read when d is not 1, each distinct numerator n becoming the Fraction n/d
-once.  Products, eq, element_str and to_json read the numerators and build
-no Fraction.  An integral coefficient may come back as an int or as a
-Fraction; the two compare and hash equal.
+An Element is a value: a collected map Monomial -> nonzero coefficient,
+held as int numerators over one denominator d (1 for an integral element
+and for the empty map); all arithmetic is exact.  `Element(m)` copies the
+map m, drops its zero coefficients, and refuses a coefficient that is not
+an int or a Fraction with a DomainError.  `terms` is a read-only view of
+the coefficient map, in which an integral coefficient is always an int:
+the numerators themselves when d is 1, otherwise a map built on the first
+read, each distinct numerator n becoming n/d once.  Products, eq,
+element_str and to_json read the numerators and build no Fraction.
 
 Structural code reads the refined form: a term is expanded (expand_right)
 only while its beta is a proper prefix of some beta present in the elements
@@ -36,9 +36,9 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import CapacityError, DomainError, ParseError
 from .monomial import (Monomial, ONE, adjoint_mono, expand_right, mono_str,
@@ -47,9 +47,6 @@ from .words import (_TABLE, _TABLE_LEN, Word, carets, decode, is_partition,
                     offset, parse_word, word_str)
 
 Coeff = object  # int | Fraction, kept exact throughout
-
-# true iff every type of the iterable is exactly int
-_ints = {int}.issuperset
 
 # normalize refuses to write more terms than this (2^16: every beta of an
 # element brought 16 letters deeper)
@@ -60,12 +57,6 @@ _MAX_TERMS = 1 << 16
 # partitions of depth 12) and 12-17 s when all meet (two 4,096-term sums of
 # powers of U)
 _MAX_TERM_PAIRS = 1 << 24
-
-# numerators over d != 1 become Fractions, when `terms` is first read,
-# through this cache of the last 1,024 (numerator, denominator) pairs asked
-# for: building a Fraction costs about 0.8 us, and small rationals recur
-# from product to product
-_fraction = lru_cache(maxsize=1 << 10)(Fraction)
 
 
 def _add_terms(acc: Dict[Monomial, Coeff],
@@ -81,6 +72,11 @@ def _add_terms(acc: Dict[Monomial, Coeff],
     return acc
 
 
+def _coeff(n: int, d: int) -> Coeff:
+    """The coefficient n/d: an int when it is integral."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
 def _coeff_str(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
@@ -92,28 +88,36 @@ def _term_order(item: Tuple[Monomial, Coeff]) -> Tuple[Word, Word, int]:
 
 class Element:
     """A finite sum  sum_i c_i * S_{alpha_i} U^{k_i} S_{beta_i}*, held as
-    int numerators _num over one denominator _d.  _terms caches the
-    coefficient map `terms`, None until its first read."""
+    int numerators _num over one denominator _d.  When d is not 1, _terms
+    caches the coefficient map, None until its first read."""
 
     __slots__ = ("_num", "_d", "_terms")
 
-    def __init__(self, terms: Optional[Dict[Monomial, Coeff]] = None):
-        terms = {} if terms is None else terms
-        num, d = terms, 1
-        if not _ints(map(type, terms.values())):
+    def __init__(self, terms: Optional[Mapping[Monomial, Coeff]] = None):
+        terms, d = terms or {}, 1
+        if {int}.issuperset(map(type, terms.values())):
+            num = {m: c for m, c in terms.items() if c}
+        else:
+            for c in terms.values():
+                if not isinstance(c, (int, Fraction)):
+                    raise DomainError(f"a coefficient must be an int or a "
+                                      f"Fraction, not {type(c).__name__}")
             # over the lcm of the denominators the numerators have gcd 1
             d = lcm(*(c.denominator for c in terms.values()))
             num = {m: c.numerator * (d // c.denominator)
-                   for m, c in terms.items()}
-        self._num, self._d, self._terms = num, d, terms
+                   for m, c in terms.items() if c}
+        self._num, self._d, self._terms = num, d, None
 
     @property
-    def terms(self) -> Dict[Monomial, Coeff]:
+    def terms(self) -> Mapping[Monomial, Coeff]:
+        """The coefficient map, read-only; an integral coefficient is an
+        int.  Each read is a new view, so an Element copies and pickles."""
+        if self._d == 1:
+            return MappingProxyType(self._num)
         if self._terms is None:
-            d = self._d
-            fracs = {n: _fraction(n, d) for n in set(self._num.values())}
-            self._terms = {m: fracs[n] for m, n in self._num.items()}
-        return self._terms
+            coeffs = {n: _coeff(n, self._d) for n in set(self._num.values())}
+            self._terms = {m: coeffs[n] for m, n in self._num.items()}
+        return MappingProxyType(self._terms)
 
     @classmethod
     def from_terms(cls, pairs: Iterable[Tuple[Coeff, Monomial]]) -> "Element":
@@ -121,7 +125,7 @@ class Element:
 
     @classmethod
     def mono(cls, m: Monomial, c: Coeff = 1) -> "Element":
-        return cls({m: c}) if c else cls()
+        return cls({m: c})
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -204,8 +208,6 @@ class Element:
         return _element(acc, d1 * d2)
 
     def scale(self, c: Coeff) -> "Element":
-        if not c:
-            return Element()
         return Element({m: c0 * c for m, c0 in self.terms.items()})
 
     def adjoint(self) -> "Element":
@@ -217,12 +219,10 @@ class Element:
 
 
 def _element(num: Dict[Monomial, int], d: int) -> Element:
-    """The Element of the int numerators num over d; `terms` is num itself
-    when d is 1, and is built on its first read otherwise."""
+    """The Element of the nonzero int numerators num over d, taken as they
+    are: no copy and no check."""
     e = Element.__new__(Element)
-    if not num:
-        d = 1
-    e._num, e._d, e._terms = num, d, num if d == 1 else None
+    e._num, e._d, e._terms = num, d if num else 1, None
     return e
 
 
@@ -434,7 +434,7 @@ def _first_difference(e1: Element,
     if first is None:
         return None
     a, k, w, n = first
-    return new_monomial((a, k, w)), n if d == 1 else Fraction(n, d)
+    return new_monomial((a, k, w)), _coeff(n, d)
 
 
 def eq(e1: Element, e2: Element) -> bool:
@@ -458,14 +458,14 @@ def phi(e: Element) -> Element:
                     e._d)
 
 
-def _unitary_terms(e: Element, what: str) -> Dict[Monomial, Coeff]:
-    """The refined term map of e; DomainError naming `what` unless e is a
-    tree-pair unitary of W: a coefficient-1 sum over a pair of complete
-    prefix-free families (alphas and betas each a partition).  When no
-    stored beta is a caret of the stored betas, the stored map is the
-    refined form and is returned as it is (callers only read it): its betas
-    are a partition iff they are distinct and one more than their carets
-    (words.is_partition)."""
+def _unitary_terms(e: Element, what: str) -> Dict[Monomial, int]:
+    """The refined numerator map of e; DomainError naming `what` unless e
+    is a tree-pair unitary of W: a coefficient-1 sum over a pair of
+    complete prefix-free families (alphas and betas each a partition).
+    Callers read only its keys, the refined monomials.  When no stored beta
+    is a caret of the stored betas, the stored map is the refined form and
+    is returned as it is: its betas are a partition iff they are distinct
+    and one more than their carets (words.is_partition)."""
     f = e._num
     betas = {m.beta for m in f}
     inner = carets(betas)
@@ -480,7 +480,7 @@ def _unitary_terms(e: Element, what: str) -> Dict[Monomial, Coeff]:
             and is_partition(m.alpha for m in f)):
         raise DomainError(f"{what} requires a coefficient-1 tree-pair "
                           f"unitary of W")
-    return e.terms
+    return f
 
 
 def in_w(e: Element) -> bool:
@@ -559,7 +559,7 @@ def putnam_form(e: Element) -> List[Tuple[Element, int]]:
 
 
 def _translates_terms(pairs: List[Tuple[Element, int]],
-                      f: Dict[Monomial, Coeff]) -> bool:
+                      f: Dict[Monomial, int]) -> bool:
     """True iff the projections of pairs (p_j, exponent n_j) are P_a, once
     each, for exactly the alphas a of f's terms (a, k, b), and each
     translate U^-n_j P_a U^n_j is that term's P_b (U^-n S_a = S_a'' U^q
@@ -568,10 +568,10 @@ def _translates_terms(pairs: List[Tuple[Element, int]],
     sum_j U^-n_j p_j U^n_j = 1."""
     beta_of = {a: b for a, _k, b in f}
     for p, n in pairs:
-        for (a, k, a2), c in p.terms.items():
+        for (a, k, a2), c in p._num.items():
             b = beta_of.pop(a, None)
             moved = decode(len(a), (offset(a) - n) & ((1 << len(a)) - 1))
-            if c != 1 or k or a2 != a or b != moved:
+            if c != p._d or k or a2 != a or b != moved:
                 return False
     return not beta_of
 
@@ -733,19 +733,18 @@ def _json_int(x, what: str) -> int:
 
 def _json_coeff(x) -> Coeff:
     """A row's coefficient: a JSON integer, or a string holding an integer,
-    p/q or a decimal; an int when it is integral, as parse_element reads it."""
+    p/q or a decimal."""
     if type(x) is int:
         return x
     if type(x) is not str:
         raise ParseError("a coefficient must be a JSON integer or a string "
                          f"p/q, not {_json_name(x)}")
     try:
-        c = Fraction(_RATIONAL.fullmatch(x)[0])
+        return Fraction(_RATIONAL.fullmatch(x)[0])
     except (TypeError, ValueError, ZeroDivisionError):  # no match, q = 0,
         # or digits over the int-conversion limit
         raise ParseError(f"bad coefficient {x[:32]!r}" + (
             f" ({len(x)} characters)" if len(x) > 32 else "")) from None
-    return c.numerator if c.denominator == 1 else c
 
 
 def _json_word(x) -> Word:

@@ -519,9 +519,9 @@ def enumerate_extendible(k: int, template: Element, mode: str = "brute",
 def enumerate_menu(k: int, mode: str = "brute") -> Iterator[Tuple[str, PermUnitary]]:
     """(label, u) for each menu template at level k, in menu order, and each
     u that enumerate_extendible lists for it.  Constructive mode reads each
-    family off the label's kind.  Brute force over the whole menu past
-    level _MAX_BRUTE_MENU_LEVEL is refused at once, before any template is
-    searched."""
+    family off the label's kind and builds no template.  Brute force over
+    the whole menu past level _MAX_BRUTE_MENU_LEVEL is refused at once,
+    before any template is searched."""
     if mode == "brute" and k > _MAX_BRUTE_MENU_LEVEL:
         raise CapacityError(
             f"brute force over all {_menu_size(k)} level-{k} templates is not "
@@ -530,9 +530,9 @@ def enumerate_menu(k: int, mode: str = "brute") -> Iterator[Tuple[str, PermUnita
 
     def results() -> Iterator[Tuple[str, PermUnitary]]:
         for label in template_labels(k):
-            kind, template = parse_template(k, label)
-            members = (_family(k, kind) if mode == "constructive"
-                       else enumerate_extendible(k, template, mode))
+            kind = label_kind(k, label)
+            members = (_family(k, kind) if mode == "constructive" else
+                       enumerate_extendible(k, _kind_template(k, kind), mode))
             for pu in members:
                 yield label, pu
 

@@ -374,6 +374,17 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_enumerate_needs_exactly_one_template_option(capsys):
+    # --template and --all-templates are one required choice: neither or
+    # both is a usage error
+    for extra in ([], ["--template", "U+", "--all-templates"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--level", "3", *extra])
+        assert exc.value.code == 2, extra
+        out, err = capsys.readouterr()
+        assert out == "" and "--template" in err and "--all-templates" in err
+
+
 def test_template_verbs_need_level_2(capsys):
     # one k >= 2 rule for the menu, the counts and label templates
     for argv in (("verify-counts", "--level", "0"),

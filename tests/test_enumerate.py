@@ -173,6 +173,19 @@ def test_level3_menu_matches_recorded_sweep(extra, name):
     assert _stdout(argv) == (GOLDEN / name).read_text()
 
 
+def test_constructive_menu_builds_no_template(monkeypatch):
+    # each family is read off the label's kind, so no template element is
+    # built
+    want = list(endo.enumerate_menu(3, "constructive"))
+
+    def refuse(*_args):
+        raise AssertionError("a template element was built")
+
+    monkeypatch.setattr(endo, "_kind_template", refuse)
+    assert list(endo.enumerate_menu(3, "constructive")) == want
+    assert len(want) == 112
+
+
 # the search pruned by ext2 ------------------------------------------------------
 
 def forced_by_eq(k, template):
